@@ -4,30 +4,23 @@
 /// Three price points on the same 64-rank fan-out workload as
 /// BM_MessageThroughput in micro_runtime.cpp:
 ///
-///   BM_CausalDormant  — telemetry compiled in, runtime-disabled. The
+///   BM_CausalDormant  — telemetry runtime-disabled: the baseline. The
 ///                       stamp member rides in the envelope but the only
 ///                       work per message is the obs::enabled() relaxed
-///                       load the send path already paid before this PR.
-///                       Compare against BM_MessageThroughput (and the
-///                       -DTLB_TELEMETRY=OFF build) to bound the dormant
-///                       overhead; CI's bench-smoke asserts the ratio.
+///                       load the send path pays anyway. Compare against
+///                       BM_MessageThroughput to bound the dormant
+///                       overhead (CI's bench-smoke job runs both).
 ///   BM_CausalEnabled  — telemetry on: every send stamps a CausalStamp,
 ///                       every delivery is timed and appended to the
 ///                       CausalLog.
 ///   BM_CriticalPath   — the offline reducer over a log of the size one
 ///                       enabled pump leaves behind.
-///
-/// With -DTLB_TELEMETRY=OFF only the dormant benchmark exists, which is
-/// exactly the comparison point.
 
 #include <benchmark/benchmark.h>
 
+#include "obs/causal.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/runtime.hpp"
-
-#if TLB_TELEMETRY_ENABLED
-#include "obs/causal.hpp"
-#endif
 
 namespace {
 
@@ -66,8 +59,6 @@ void BM_CausalDormant(benchmark::State& state) {
 }
 BENCHMARK(BM_CausalDormant)->Unit(benchmark::kMicrosecond);
 
-#if TLB_TELEMETRY_ENABLED
-
 void BM_CausalEnabled(benchmark::State& state) {
   obs::set_enabled(true);
   obs::CausalLog::instance().clear();
@@ -104,7 +95,5 @@ void BM_CriticalPath(benchmark::State& state) {
   obs::CausalLog::instance().clear();
 }
 BENCHMARK(BM_CriticalPath)->Unit(benchmark::kMicrosecond);
-
-#endif // TLB_TELEMETRY_ENABLED
 
 } // namespace

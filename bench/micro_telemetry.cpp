@@ -22,7 +22,7 @@ using namespace tlb;
 
 /// The dormant fast path: one relaxed atomic load plus a not-taken branch.
 /// This is what every TLB_SPAN/TLB_INSTANT site costs when telemetry is
-/// compiled in but not runtime-enabled.
+/// not runtime-enabled.
 void BM_DormantSpanGuard(benchmark::State& state) {
   obs::set_enabled(false);
   for (auto _ : state) {

@@ -28,8 +28,7 @@ trap 'rm -rf "${TMP}"' EXIT
 
 # Substrate microbenches (google-benchmark JSON). The throughput filter
 # covers the sequential 256/1024/4096-rank sweep and the 1-8 worker
-# threaded scaling, both of which also report the SBO heap-fallback
-# counter — a nonzero value there is a perf regression by definition.
+# threaded scaling.
 "${BUILD_DIR}/bench/micro_runtime" \
   --benchmark_filter='BM_MessageThroughput' \
   --benchmark_format=json >"${TMP}/micro_runtime.json"

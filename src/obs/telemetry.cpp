@@ -1,14 +1,11 @@
 #include "obs/telemetry.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 #include "obs/flight_recorder.hpp"
+#include "support/env.hpp"
 
 namespace tlb::obs {
-
-#if TLB_TELEMETRY_ENABLED
 
 namespace {
 
@@ -16,9 +13,7 @@ namespace {
 std::atomic<int> g_state{-1};
 
 int resolve_from_env() {
-  char const* const env = std::getenv("TLB_TELEMETRY");
-  int const on =
-      env != nullptr && std::strcmp(env, "0") != 0 ? 1 : 0;
+  int const on = env_switch("TLB_TELEMETRY", false) ? 1 : 0;
   int expected = -1;
   // Another thread may have resolved (or set_enabled) concurrently; their
   // value wins.
@@ -48,7 +43,5 @@ void set_enabled(bool on) {
     install_flight_recorder();
   }
 }
-
-#endif
 
 } // namespace tlb::obs

@@ -7,9 +7,9 @@
 /// closure captures a shared_ptr plus payload, so the old message plane
 /// paid one malloc/free per message. InlineHandler stores the closure
 /// inline in the envelope (capacity sized for the largest protocol closure
-/// in the tree), falling back to the heap only for oversized or
-/// throwing-move callables, and counts those fallbacks in a process-wide
-/// counter so the benches can prove the hot protocols never take it.
+/// in the tree). There is no heap fallback: a closure that is oversized,
+/// over-aligned or throwing-move is a compile error, so no message ever
+/// allocates for its handler.
 ///
 /// Semantics versus std::function:
 ///   - move-only: envelopes are never implicitly copied. The fault plane's
@@ -21,9 +21,7 @@
 ///     invoked (asserted), same contract as std::function's bad_function_
 ///     call, without the exception machinery.
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <cstring>
 #include <new>
 #include <type_traits>
@@ -44,9 +42,9 @@ public:
   /// at 96 — a line and a half — where the original std::max_align_t-
   /// aligned buffer cost two full lines). Protocol closures are kept under
   /// this by capturing one shared_ptr to per-run state instead of fat
-  /// value captures (see Shared in gossip_strategy.cpp); the heap-fallback
-  /// counter (asserted zero across the protocol suites) is the regression
-  /// guard if a closure outgrows this.
+  /// value captures (see Shared in gossip_strategy.cpp); the
+  /// static_asserts in the constructor are the regression guard if a
+  /// closure outgrows this.
   static constexpr std::size_t inline_capacity = 64;
 
   InlineHandler() = default;
@@ -59,31 +57,20 @@ public:
                 !std::is_same_v<D, std::nullptr_t> &&
                 std::is_invocable_v<D&, RankContext&>>>
   /*implicit*/ InlineHandler(F&& fn) {
-#if TLB_STRICT_SBO_ENABLED
-    // Strict-SBO mode (-DTLB_STRICT_SBO=ON): the heap fallback below is
-    // forbidden at compile time, turning the protocol suites' "zero heap
-    // fallbacks" runtime assertion into a build-breaking guarantee. A
-    // closure tripping this has outgrown the envelope: hoist fat captures
+    // Strict SBO: every closure lives in the inline buffer. A closure
+    // tripping one of these has outgrown the envelope: hoist fat captures
     // into a shared_ptr'd per-run block (see Shared in gossip_strategy.cpp)
     // instead of raising inline_capacity.
     static_assert(sizeof(D) <= inline_capacity,
-                  "TLB_STRICT_SBO: closure exceeds InlineHandler's inline "
-                  "buffer and would heap-allocate per message");
+                  "InlineHandler: closure exceeds the inline buffer "
+                  "(inline_capacity)");
     static_assert(alignof(D) <= 8,
-                  "TLB_STRICT_SBO: over-aligned closure would take the "
-                  "heap fallback");
+                  "InlineHandler: closure is over-aligned for the inline "
+                  "buffer (alignment > 8)");
     static_assert(std::is_nothrow_move_constructible_v<D>,
-                  "TLB_STRICT_SBO: throwing-move closure would take the "
-                  "heap fallback");
-#endif
-    if constexpr (fits_inline<D>) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
-      ops_ = &kInlineOps<D>;
-    } else {
-      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(fn)));
-      ops_ = &kHeapOps<D>;
-      heap_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    }
+                  "InlineHandler: closure has a throwing move constructor");
+    ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
+    ops_ = &kOps<D>;
   }
 
   InlineHandler(InlineHandler&& other) noexcept { move_from(other); }
@@ -134,31 +121,7 @@ public:
     return out;
   }
 
-  /// True when this handler took the heap fallback (oversized closure).
-  [[nodiscard]] bool uses_heap() const {
-    return ops_ != nullptr && ops_->heap;
-  }
-
-  /// Process-wide count of heap-fallback constructions (including heap
-  /// clones) since the last reset. The message-plane benches and the
-  /// protocol tests assert this stays zero on the hot paths.
-  [[nodiscard]] static std::uint64_t heap_fallback_count() {
-    return heap_fallbacks_.load(std::memory_order_relaxed);
-  }
-  static void reset_heap_fallback_count() {
-    heap_fallbacks_.store(0, std::memory_order_relaxed);
-  }
-
 private:
-  /// Inline storage is 8-aligned, not max_align_t-aligned: closures
-  /// capture pointers, doubles, and shared_ptrs, none of which need more,
-  /// and max_align_t alignment would pad every envelope by 16 bytes. The
-  /// rare over-aligned callable takes the heap fallback.
-  template <typename D>
-  static constexpr bool fits_inline =
-      sizeof(D) <= inline_capacity && alignof(D) <= 8 &&
-      std::is_nothrow_move_constructible_v<D>;
-
   struct Ops {
     void (*invoke)(char* storage, RankContext& ctx);
     /// Invoke then destroy in one dispatch (the delivery path).
@@ -168,7 +131,6 @@ private:
     void (*destroy)(char* storage) noexcept;
     /// Copy-construct into `out` (null when the callable is not copyable).
     void (*clone)(char const* storage, InlineHandler& out);
-    bool heap;
     /// Trivially relocatable AND at most 16 bytes: moving is a raw copy of
     /// one fixed 16-byte block and the moved-from object needs no
     /// destruction. Lets move_from skip the indirect relocate dispatch for
@@ -194,28 +156,28 @@ private:
   // table — neither is possible in an initializer parsed while the class
   // is still incomplete.
   template <typename D>
-  static void invoke_inline(char* s, RankContext& ctx) {
+  static void invoke_op(char* s, RankContext& ctx) {
     (*as<D>(s))(ctx);
   }
   template <typename D>
-  static void consume_inline(char* s, RankContext& ctx) {
+  static void consume_op(char* s, RankContext& ctx) {
     (*as<D>(s))(ctx);
     as<D>(s)->~D();
   }
   template <typename D>
-  static void relocate_inline(char* dst, char* src) noexcept {
+  static void relocate_op(char* dst, char* src) noexcept {
     ::new (static_cast<void*>(dst)) D(std::move(*as<D>(src)));
     as<D>(src)->~D();
   }
   template <typename D>
-  static void destroy_inline(char* s) noexcept {
+  static void destroy_op(char* s) noexcept {
     as<D>(s)->~D();
   }
   template <typename D>
-  static void clone_inline(char const* s, InlineHandler& out) {
+  static void clone_op(char const* s, InlineHandler& out) {
     if constexpr (std::is_copy_constructible_v<D>) {
       ::new (static_cast<void*>(out.storage_)) D(*as<D>(s));
-      out.ops_ = &kInlineOps<D>;
+      out.ops_ = &kOps<D>;
     } else {
       (void)s;
       (void)out; // unreachable: the Ops table stores nullptr instead
@@ -223,57 +185,14 @@ private:
   }
 
   template <typename D>
-  static void invoke_heap(char* s, RankContext& ctx) {
-    (**as<D*>(s))(ctx);
-  }
-  template <typename D>
-  static void consume_heap(char* s, RankContext& ctx) {
-    (**as<D*>(s))(ctx);
-    delete *as<D*>(s);
-  }
-  template <typename D>
-  static void relocate_heap(char* dst, char* src) noexcept {
-    // The heap object stays put; only the owning pointer moves.
-    ::new (static_cast<void*>(dst)) D*(*as<D*>(src));
-  }
-  template <typename D>
-  static void destroy_heap(char* s) noexcept {
-    delete *as<D*>(s);
-  }
-  template <typename D>
-  static void clone_heap(char const* s, InlineHandler& out) {
-    if constexpr (std::is_copy_constructible_v<D>) {
-      ::new (static_cast<void*>(out.storage_)) D*(new D(**as<D*>(s)));
-      out.ops_ = &kHeapOps<D>;
-      heap_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      (void)s;
-      (void)out; // unreachable: the Ops table stores nullptr instead
-    }
-  }
-
-  template <typename D>
-  static constexpr Ops kInlineOps{
-      &invoke_inline<D>,
-      &consume_inline<D>,
-      &relocate_inline<D>,
-      &destroy_inline<D>,
-      std::is_copy_constructible_v<D> ? &clone_inline<D> : nullptr,
-      /*heap=*/false,
+  static constexpr Ops kOps{
+      &invoke_op<D>,
+      &consume_op<D>,
+      &relocate_op<D>,
+      &destroy_op<D>,
+      std::is_copy_constructible_v<D> ? &clone_op<D> : nullptr,
       /*trivial=*/std::is_trivially_copyable_v<D> &&
           std::is_trivially_destructible_v<D> && sizeof(D) <= 16,
-  };
-
-  template <typename D>
-  static constexpr Ops kHeapOps{
-      &invoke_heap<D>,
-      &consume_heap<D>,
-      &relocate_heap<D>,
-      &destroy_heap<D>,
-      std::is_copy_constructible_v<D> ? &clone_heap<D> : nullptr,
-      /*heap=*/true,
-      // The owning pointer in storage_ is itself trivially relocatable.
-      /*trivial=*/true,
   };
 
   void move_from(InlineHandler& other) noexcept {
@@ -298,8 +217,9 @@ private:
     }
   }
 
-  inline static std::atomic<std::uint64_t> heap_fallbacks_{0};
-
+  /// 8-aligned, not max_align_t-aligned: closures capture pointers,
+  /// doubles, and shared_ptrs, none of which need more, and max_align_t
+  /// alignment would pad every envelope by 16 bytes.
   alignas(8) char storage_[inline_capacity];
   Ops const* ops_ = nullptr;
 };

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "support/env.hpp"
 #include "support/spinlock.hpp"
 #include "support/thread_annotations.hpp"
 
@@ -18,19 +19,16 @@ std::string g_last TLB_GUARDED_BY(g_last_mutex);
 
 bool env_enabled() {
   // Read once: toggling mid-run would make audit coverage nondeterministic.
-  static bool const value = [] {
-    char const* const v = std::getenv("TLB_AUDIT");
-    if (v == nullptr) {
-      return true; // compiled-in auditing defaults to on
-    }
-    return !(v[0] == '0' && v[1] == '\0');
-  }();
+  // Unset means on: an audit build audits unless told not to.
+  static bool const value = env_switch("TLB_AUDIT", true);
   return value;
 }
 
 } // namespace
 
-bool enabled() { return TLB_AUDIT_ENABLED != 0 && env_enabled(); }
+// The environment is validated even when the auditor is compiled out, so
+// a malformed TLB_AUDIT fails the same way in every build.
+bool enabled() { return env_enabled() && TLB_AUDIT_ENABLED != 0; }
 
 void set_mode(Mode m) { g_mode.store(m, std::memory_order_relaxed); }
 

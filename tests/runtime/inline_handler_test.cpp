@@ -1,8 +1,9 @@
 /// \file inline_handler_test.cpp
 /// The SBO callable under the message plane: inline storage for every
-/// protocol-sized closure, counted heap fallback for oversized ones,
-/// move-only ownership with explicit clone, and exact construction /
-/// destruction accounting across moves and consume().
+/// protocol-sized closure (oversized ones are a compile error, checked by
+/// the inline_handler_oversized_closure_rejected ctest), move-only
+/// ownership with explicit clone, and exact construction / destruction
+/// accounting across moves and consume().
 
 #include "runtime/inline_handler.hpp"
 
@@ -44,12 +45,9 @@ int Tracked::live = 0;
 int Tracked::destroyed = 0;
 
 TEST(InlineHandler, SmallClosureStaysInline) {
-  InlineHandler::reset_heap_fallback_count();
   int hits = 0;
   int* p = &hits;
   InlineHandler h{[p](RankContext&) { ++*p; }};
-  EXPECT_FALSE(h.uses_heap());
-  EXPECT_EQ(InlineHandler::heap_fallback_count(), 0u);
 
   Fixture f;
   h(f.ctx);
@@ -59,9 +57,8 @@ TEST(InlineHandler, SmallClosureStaysInline) {
 
 TEST(InlineHandler, ProtocolShapedCaptureStaysInline) {
   // The canonical protocol closure: a shared_ptr to per-run state plus a
-  // few words of payload. This must never take the heap fallback — the
-  // whole point of the inline capacity choice.
-  InlineHandler::reset_heap_fallback_count();
+  // few words of payload. It must fit the inline buffer — the whole point
+  // of the inline capacity choice.
   auto state = std::make_shared<int>(0);
   double const a = 1.5;
   double const b = 2.5;
@@ -69,57 +66,11 @@ TEST(InlineHandler, ProtocolShapedCaptureStaysInline) {
   InlineHandler h{[state, a, b, seq](RankContext&) {
     *state += static_cast<int>(a + b) + static_cast<int>(seq);
   }};
-  EXPECT_FALSE(h.uses_heap());
-  EXPECT_EQ(InlineHandler::heap_fallback_count(), 0u);
 
   Fixture f;
   h(f.ctx);
   EXPECT_EQ(*state, 46);
 }
-
-// Heap-fallback construction is a static_assert under TLB_STRICT_SBO=ON,
-// so the tests that intentionally exercise the fallback only compile when
-// the escape hatch exists.
-#if !TLB_STRICT_SBO_ENABLED
-
-TEST(InlineHandler, OversizedClosureFallsBackToHeapAndCounts) {
-  InlineHandler::reset_heap_fallback_count();
-  struct Big {
-    char bytes[InlineHandler::inline_capacity + 8] = {};
-  };
-  Big big;
-  big.bytes[0] = 7;
-  int out = 0;
-  int* p = &out;
-  InlineHandler h{[big, p](RankContext&) { *p = big.bytes[0]; }};
-  EXPECT_TRUE(h.uses_heap());
-  EXPECT_EQ(InlineHandler::heap_fallback_count(), 1u);
-
-  Fixture f;
-  h(f.ctx);
-  EXPECT_EQ(out, 7);
-}
-
-TEST(InlineHandler, OverAlignedClosureFallsBackToHeap) {
-  // The inline buffer is only 8-aligned (max_align_t padding would cost
-  // every envelope 16 bytes); anything fussier goes to the heap.
-  InlineHandler::reset_heap_fallback_count();
-  struct alignas(32) Fussy {
-    double v = 3.0;
-  };
-  Fussy fussy;
-  double out = 0.0;
-  double* p = &out;
-  InlineHandler h{[fussy, p](RankContext&) { *p = fussy.v; }};
-  EXPECT_TRUE(h.uses_heap());
-  EXPECT_EQ(InlineHandler::heap_fallback_count(), 1u);
-
-  Fixture f;
-  h(f.ctx);
-  EXPECT_EQ(out, 3.0);
-}
-
-#endif // !TLB_STRICT_SBO_ENABLED
 
 TEST(InlineHandler, MoveTransfersOwnershipAndEmptiesSource) {
   int hits = 0;
@@ -183,65 +134,18 @@ TEST(InlineHandler, ConsumeInvokesAndDestroysInOneStep) {
   EXPECT_FALSE(static_cast<bool>(h)); // consumed handlers are empty
 }
 
-#if !TLB_STRICT_SBO_ENABLED
-
-TEST(InlineHandler, HeapClosureDestructionAccounting) {
-  Tracked::reset();
-  struct Pad {
-    char bytes[InlineHandler::inline_capacity] = {};
-  };
-  {
-    InlineHandler h{[t = Tracked{}, pad = Pad{}](RankContext&) {
-      (void)t;
-      (void)pad;
-    }};
-    EXPECT_TRUE(h.uses_heap());
-    InlineHandler moved{std::move(h)};
-    EXPECT_EQ(Tracked::live, 1); // heap move relocates the pointer only
-  }
-  EXPECT_EQ(Tracked::live, 0);
-}
-
-#endif // !TLB_STRICT_SBO_ENABLED
-
 TEST(InlineHandler, CloneDuplicatesInlineClosure) {
-  InlineHandler::reset_heap_fallback_count();
   auto count = std::make_shared<int>(0);
   InlineHandler a{[count](RankContext&) { ++*count; }};
   InlineHandler b = a.clone();
   EXPECT_TRUE(static_cast<bool>(a)); // clone leaves the source intact
   EXPECT_TRUE(static_cast<bool>(b));
-  EXPECT_EQ(InlineHandler::heap_fallback_count(), 0u);
 
   Fixture f;
   a(f.ctx);
   b(f.ctx);
   EXPECT_EQ(*count, 2);
 }
-
-#if !TLB_STRICT_SBO_ENABLED
-
-TEST(InlineHandler, CloneOfHeapClosureCountsAnotherFallback) {
-  InlineHandler::reset_heap_fallback_count();
-  struct Pad {
-    char bytes[InlineHandler::inline_capacity] = {};
-  };
-  auto count = std::make_shared<int>(0);
-  InlineHandler a{[count, pad = Pad{}](RankContext&) {
-    (void)pad;
-    ++*count;
-  }};
-  EXPECT_EQ(InlineHandler::heap_fallback_count(), 1u);
-  InlineHandler b = a.clone();
-  EXPECT_TRUE(b.uses_heap());
-  EXPECT_EQ(InlineHandler::heap_fallback_count(), 2u);
-
-  Fixture f;
-  b(f.ctx);
-  EXPECT_EQ(*count, 1);
-}
-
-#endif // !TLB_STRICT_SBO_ENABLED
 
 TEST(InlineHandler, MoveOnlyClosureWorksInline) {
   auto owned = std::make_unique<int>(11);
@@ -250,7 +154,6 @@ TEST(InlineHandler, MoveOnlyClosureWorksInline) {
   InlineHandler h{[owned = std::move(owned), p](RankContext&) {
     *p = *owned;
   }};
-  EXPECT_FALSE(h.uses_heap());
   InlineHandler moved{std::move(h)};
 
   Fixture f;

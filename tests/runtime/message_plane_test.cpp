@@ -2,9 +2,8 @@
 /// Properties of the overhauled message plane: per-sender FIFO through
 /// sender-side coalescing, swap-drain mailbox equivalence with a model
 /// FIFO, in-place consume_batch visit semantics, work-stealing
-/// determinism of results (not ordering), the P-not-divisible-by-workers
-/// partitioning regression, and the zero-heap-fallback guarantee across
-/// the gossip / transfer / migration / termination protocol stack.
+/// determinism of results (not ordering), and the P-not-divisible-by-
+/// workers partitioning regression.
 
 #include <gtest/gtest.h>
 
@@ -15,12 +14,9 @@
 #include <utility>
 #include <vector>
 
-#include "lb/strategy/lb_manager.hpp"
 #include "runtime/inline_handler.hpp"
 #include "runtime/mailbox.hpp"
-#include "runtime/object_store.hpp"
 #include "runtime/runtime.hpp"
-#include "runtime/termination.hpp"
 #include "support/rng.hpp"
 
 namespace tlb::rt {
@@ -308,68 +304,6 @@ TEST(MessagePlane, RankPartitioningHandlesIndivisibleCounts) {
     EXPECT_EQ(run_fanout(ranks, threads), expected)
         << "ranks=" << ranks << " threads=" << threads;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Zero heap fallbacks across the real protocol stack.
-
-class Chunk final : public Migratable {
-public:
-  explicit Chunk(std::size_t bytes) : bytes_{bytes} {}
-  [[nodiscard]] std::size_t wire_bytes() const override { return bytes_; }
-
-private:
-  std::size_t bytes_;
-};
-
-/// Every closure the gossip, transfer, migration, and termination
-/// protocols put on the wire must fit the envelope's inline buffer: one
-/// heap fallback per message is precisely the allocation profile this
-/// plane was rebuilt to eliminate, so the counter is a hard zero here.
-void run_protocol_stack(int threads) {
-  RuntimeConfig cfg;
-  cfg.num_ranks = 32;
-  cfg.num_threads = threads;
-  Runtime rt{cfg};
-  ObjectStore store{32};
-  lb::StrategyInput input;
-  input.tasks.resize(32);
-  Rng rng{7};
-  for (TaskId i = 0; i < 200; ++i) {
-    input.tasks[static_cast<std::size_t>(i % 4)].push_back(
-        {i, rng.uniform(0.5, 1.5)});
-    store.create(static_cast<RankId>(i % 4), i,
-                 std::make_unique<Chunk>(64));
-  }
-
-  InlineHandler::reset_heap_fallback_count();
-  auto params = lb::LbParams::tempered();
-  params.num_trials = 2;
-  params.num_iterations = 3;
-  params.rounds = 6;
-  lb::LbManager manager{rt, "tempered", params};
-  auto const report = manager.invoke(input, store);
-  EXPECT_GT(report.cost.migration_count, 0u); // migration plane exercised
-
-  // Termination-detection waves ride the same envelopes.
-  TerminationDetector det{rt};
-  det.post(0, [&det](RankContext& ctx) {
-    for (RankId r = 0; r < ctx.num_ranks(); ++r) {
-      det.send(ctx, r, 8, [](RankContext&) {});
-    }
-  });
-  det.start();
-  rt.run_until_quiescent();
-  EXPECT_TRUE(det.terminated());
-
-  EXPECT_EQ(InlineHandler::heap_fallback_count(), 0u);
-}
-
-TEST(MessagePlane, ProtocolStackNeverHitsHeapFallbackSequential) {
-  run_protocol_stack(1);
-}
-TEST(MessagePlane, ProtocolStackNeverHitsHeapFallbackThreaded) {
-  run_protocol_stack(4);
 }
 
 } // namespace
