@@ -12,7 +12,6 @@
 #include "runtime/collectives.hpp"
 #include "support/assert.hpp"
 #include "support/check.hpp"
-#include "support/seq_outcome_map.hpp"
 #include "support/stats.hpp"
 
 namespace tlb::lb {
@@ -35,6 +34,25 @@ struct RankState {
   std::vector<SpecTask> tasks;
 };
 
+/// One speculative task move of a transfer epoch (Algorithm 3: the
+/// proposal only notifies the destination; the payload moves at commit).
+/// The destination decides a proposal once and bounces a refused task
+/// back; the driver retries undecided proposals at quiescent points and
+/// takes back every task that was neither accepted nor returned, so the
+/// proposed placement conserves tasks under any drop/duplicate/delay mix.
+struct Proposal {
+  SpecTask task;
+  RankId from = invalid_rank;
+  RankId to = invalid_rank;
+  int attempts = 1; ///< delivery attempts so far; driver-only
+  // `decided`/`accepted` are written only by handlers on rank `to`;
+  // `returned` only by the bounce handler on rank `from` (and by the
+  // driver at a quiescent point). Distinct bytes per writer: no races.
+  char decided = 0;
+  char accepted = 0;
+  char returned = 0;
+};
+
 struct Shared {
   std::vector<RankState> states;
   /// The inform stage: per-rank knowledge, forwarding cascade, and the
@@ -51,93 +69,50 @@ struct Shared {
   /// InlineHandler rejects at compile time.
   LbParams params;
   obs::LbReportBuilder* report = nullptr; ///< optional introspection sink
-};
-
-/// Resilient transfer-epoch state (only used when the runtime has an
-/// active fault plane). Each speculative task move becomes a
-/// sequence-numbered Proposal held by its origin until the destination's
-/// accept/reject acknowledgement arrives; unacknowledged proposals are
-/// retried with exponential backoff and reconciled against the receivers'
-/// dedup tables once the retry budget runs out, so a task is never lost
-/// and never applied twice no matter which leg of the handshake the
-/// network eats.
-struct ResilientXfer {
-  struct Proposal {
-    std::uint64_t seq = 0;
-    SpecTask task;
-    RankId from = invalid_rank;
-    RankId to = invalid_rank;
-    int attempts = 0;
-    // `resolved`/`accepted` are written by the origin rank's ack handler
-    // (or the driver at a quiescent point); `seen` entries only by each
-    // destination's handlers. Distinct locations per writer: no races.
-    char resolved = 0;
-    char accepted = 0;
-  };
-  /// outbox[r] — proposals originated by rank r. Filled once by rank r's
-  /// transfer-pass handler before any send references them; never resized
-  /// afterwards, so Proposal pointers stay stable across retries.
+  /// outbox[r] — the current transfer epoch's proposals originated by
+  /// rank r. Cleared by the driver, filled once by rank r's transfer-pass
+  /// handler before any send references them and never resized while
+  /// they are in flight, so Proposal pointers stay stable across retries.
   std::vector<std::vector<Proposal>> outbox;
-  /// seen[r] — seq → accepted outcome for every proposal rank r has
-  /// decided. The receiver-side dedup table: a duplicated or retried
-  /// proposal replays the recorded outcome instead of re-applying. A flat
-  /// open-addressing table — the find on every delivery attempt is the
-  /// fault path's hottest lookup.
-  std::vector<SeqOutcomeMap> seen;
-
-  explicit ResilientXfer(RankId p)
-      : outbox(static_cast<std::size_t>(p)),
-        seen(static_cast<std::size_t>(p)) {}
 };
 
-constexpr std::size_t kProposalBytes = sizeof(SpecTask) + sizeof(std::uint64_t);
-constexpr std::size_t kAckBytes = sizeof(std::uint64_t) + 1;
-
-/// One delivery attempt of `prop` from the origin rank's context. The
-/// destination decides (or replays) the outcome and acknowledges; the
-/// origin applies a rejection by taking the task back.
+/// One delivery attempt of `prop` from the origin rank's context. A
+/// duplicated or retried delivery of a decided proposal is a no-op.
 void send_proposal(std::shared_ptr<Shared> const& shared,
-                   std::shared_ptr<ResilientXfer> const& rx,
-                   rt::RankContext& ctx, ResilientXfer::Proposal* prop) {
+                   rt::RankContext& ctx, Proposal* prop) {
   ctx.send(
-      prop->to, kProposalBytes,
-      [shared, rx, prop](rt::RankContext& dest) {
-        auto& decided = rx->seen[static_cast<std::size_t>(dest.rank())];
-        char const* const known = decided.find(prop->seq);
-        char accepted;
-        if (known != nullptr) {
-          accepted = *known; // duplicate: replay, don't re-apply
-        } else {
-          auto& dst = shared->states[static_cast<std::size_t>(dest.rank())];
-          if (shared->use_nacks &&
-              dst.load + prop->task.load > shared->l_ave) {
-            if (shared->report != nullptr) {
-              shared->report->on_nack();
-            }
-            accepted = 0;
-          } else {
-            dst.tasks.push_back(prop->task);
-            dst.load += prop->task.load;
-            accepted = 1;
-          }
-          decided.insert(prop->seq, accepted);
+      prop->to, sizeof(SpecTask),
+      [shared, prop](rt::RankContext& dest) {
+        if (prop->decided != 0) {
+          return;
         }
-        dest.send(
-            prop->from, kAckBytes,
-            [shared, prop, accepted](rt::RankContext& back) {
-              if (prop->resolved != 0) {
-                return; // duplicated ack: already settled
-              }
-              prop->resolved = 1;
-              prop->accepted = accepted;
-              if (accepted == 0) {
+        prop->decided = 1;
+        auto& dst = shared->states[static_cast<std::size_t>(dest.rank())];
+        // Menon-style negative acknowledgement (optional): refuse
+        // proposals that would push this rank past the average, bouncing
+        // the task back to its sender.
+        if (shared->use_nacks && dst.load + prop->task.load > shared->l_ave) {
+          if (shared->report != nullptr) {
+            shared->report->on_nack();
+          }
+          dest.send(
+              prop->from, sizeof(SpecTask),
+              [shared, prop](rt::RankContext& back) {
+                if (prop->returned != 0) {
+                  return; // duplicated bounce: already back home
+                }
+                prop->returned = 1;
                 auto& src =
                     shared->states[static_cast<std::size_t>(back.rank())];
                 src.tasks.push_back(prop->task);
                 src.load += prop->task.load;
-              }
-            },
-            rt::MessageKind::transfer);
+              },
+              rt::MessageKind::transfer);
+          return;
+        }
+        prop->accepted = 1;
+        dst.tasks.push_back(prop->task);
+        dst.load += prop->task.load;
       },
       rt::MessageKind::transfer);
 }
@@ -170,10 +145,6 @@ StrategyResult GossipStrategy::balance(rt::Runtime& rt,
   TLB_EXPECTS(params.rounds >= 1 && params.rounds <= 63);
 
   TLB_SPAN_ARG("lb", "balance", "ranks", p);
-  // Resilient mode engages only when a fault plane is live: fault-free
-  // runs keep the legacy message patterns bit-for-bit (goldens depend on
-  // the exact send sequence each rank's RNG stream sees).
-  bool const resilient = rt.fault_active();
   rt::RetryPolicy const& retry = rt.config().retry;
   auto const stats_before = rt.stats();
 
@@ -181,8 +152,7 @@ StrategyResult GossipStrategy::balance(rt::Runtime& rt,
   auto const initial_loads = input.rank_loads();
   bool stats_complete = true;
   auto const stat =
-      rt::allreduce_loads(rt, initial_loads,
-                          resilient ? &stats_complete : nullptr)[0];
+      rt::allreduce_loads(rt, initial_loads, &stats_complete)[0];
   LoadType const l_ave = stat.average();
 
   StrategyResult result;
@@ -222,6 +192,7 @@ StrategyResult GossipStrategy::balance(rt::Runtime& rt,
   shared->params = params;
   shared->report = introspection_;
   shared->states.resize(static_cast<std::size_t>(p));
+  shared->outbox.resize(static_cast<std::size_t>(p));
 
   auto reset_states = [&] {
     for (RankId r = 0; r < p; ++r) {
@@ -267,8 +238,11 @@ StrategyResult GossipStrategy::balance(rt::Runtime& rt,
       // --- Transfer pass (Algorithm 2) on every overloaded rank; the
       // accepted proposals are *notification* messages: the task payload
       // does not move until the best state is committed. ---
-      if (!resilient) {
+      {
         TLB_SPAN_ARG("lb", "transfer", "iter", iter);
+        for (auto& outbox : shared->outbox) {
+          outbox.clear();
+        }
         rt.post_all([shared](rt::RankContext& ctx) {
           auto& st = shared->states[static_cast<std::size_t>(ctx.rank())];
           if (st.load <= shared->threshold * shared->l_ave) {
@@ -291,111 +265,34 @@ StrategyResult GossipStrategy::balance(rt::Runtime& rt,
                                              transfer.cmf_rebuilds);
           }
           st.load = transfer.final_load;
-          for (Migration const& m : transfer.migrations) {
-            auto const it = std::find_if(
-                st.tasks.begin(), st.tasks.end(),
-                [&](SpecTask const& t) { return t.id == m.task; });
-            TLB_ASSERT(it != st.tasks.end());
-            SpecTask moved = *it;
-            st.tasks.erase(it);
-            RankId const sender = ctx.rank();
-            ctx.send(
-                m.to, sizeof(SpecTask),
-                [shared, moved, sender](rt::RankContext& dest) {
-                  auto& dst =
-                      shared->states[static_cast<std::size_t>(dest.rank())];
-                  // Menon-style negative acknowledgement (optional):
-                  // refuse proposals that would push this rank past the
-                  // average, bouncing the task back to its sender.
-                  if (shared->use_nacks &&
-                      dst.load + moved.load > shared->l_ave) {
-                    if (shared->report != nullptr) {
-                      shared->report->on_nack();
-                    }
-                    dest.send(
-                        sender, sizeof(SpecTask),
-                        [shared, moved](rt::RankContext& back) {
-                          auto& src = shared->states[static_cast<std::size_t>(
-                              back.rank())];
-                          src.tasks.push_back(moved);
-                          src.load += moved.load;
-                        },
-                        rt::MessageKind::transfer);
-                    return;
-                  }
-                  dst.tasks.push_back(moved);
-                  dst.load += moved.load;
-                },
-                rt::MessageKind::transfer);
-          }
-        });
-        rt.run_until_quiescent();
-      } else {
-        // --- Resilient transfer epoch: every speculative move is a
-        // sequence-numbered proposal that the origin holds until the
-        // destination's accept/reject ack lands; lost legs are retried
-        // with exponential backoff and survivors reconciled against the
-        // receivers' dedup tables, so the proposed placement conserves
-        // tasks under arbitrary drop/duplicate/delay injection. ---
-        TLB_SPAN_ARG("lb", "transfer", "iter", iter);
-        auto rx = std::make_shared<ResilientXfer>(p);
-        rt.post_all([shared, rx](rt::RankContext& ctx) {
-          auto& st = shared->states[static_cast<std::size_t>(ctx.rank())];
-          if (st.load <= shared->threshold * shared->l_ave) {
-            return;
-          }
-          std::vector<TaskEntry> entries;
-          entries.reserve(st.tasks.size());
-          for (SpecTask const& t : st.tasks) {
-            entries.push_back({t.id, t.load});
-          }
-          auto const transfer =
-              run_transfer(shared->params, ctx.rank(), entries, st.load,
-                           shared->l_ave,
-                           shared->inform->knowledge_of(ctx.rank()),
-                           ctx.rng());
-          if (shared->report != nullptr) {
-            shared->report->on_transfer_pass(transfer.accepted,
-                                             transfer.rejected,
-                                             transfer.no_target,
-                                             transfer.cmf_rebuilds);
-          }
-          st.load = transfer.final_load;
-          auto& outbox = rx->outbox[static_cast<std::size_t>(ctx.rank())];
+          auto& outbox = shared->outbox[static_cast<std::size_t>(ctx.rank())];
           outbox.reserve(transfer.migrations.size());
           for (Migration const& m : transfer.migrations) {
             auto const it = std::find_if(
                 st.tasks.begin(), st.tasks.end(),
                 [&](SpecTask const& t) { return t.id == m.task; });
             TLB_ASSERT(it != st.tasks.end());
-            ResilientXfer::Proposal prop;
-            prop.seq = (static_cast<std::uint64_t>(ctx.rank()) << 32) |
-                       outbox.size();
-            prop.task = *it;
-            prop.from = ctx.rank();
-            prop.to = m.to;
-            prop.attempts = 1;
+            outbox.push_back(Proposal{*it, ctx.rank(), m.to});
             st.tasks.erase(it);
-            outbox.push_back(prop);
           }
           // Send only after the outbox is fully built: handlers capture
           // pointers into it, so it must never grow again.
-          for (auto& pending : outbox) {
-            send_proposal(shared, rx, ctx, &pending);
+          for (Proposal& pending : outbox) {
+            send_proposal(shared, ctx, &pending);
           }
         });
         epoch_valid = rt.run_until_quiescent() && epoch_valid;
 
-        // Timeout = quiescence with the ack missing: that leg of the
-        // handshake was provably lost. Retry with exponential backoff
-        // until resolved or the attempt budget runs out.
+        // Timeout = quiescence with the proposal undecided: every delivery
+        // so far was provably lost. Retry with exponential backoff until
+        // decided or the attempt budget runs out.
         int const max_attempts =
             retry.max_attempts > 0 ? retry.max_attempts : 1;
         for (;;) {
           bool retried = false;
-          for (auto& outbox : rx->outbox) {
-            for (auto& prop : outbox) {
-              if (prop.resolved != 0 || prop.attempts >= max_attempts) {
+          for (auto& outbox : shared->outbox) {
+            for (Proposal& prop : outbox) {
+              if (prop.decided != 0 || prop.attempts >= max_attempts) {
                 continue;
               }
               std::uint64_t backoff =
@@ -406,11 +303,11 @@ StrategyResult GossipStrategy::balance(rt::Runtime& rt,
               }
               ++prop.attempts;
               rt.record_retry(rt::MessageKind::transfer);
-              ResilientXfer::Proposal* pending = &prop;
+              Proposal* pending = &prop;
               rt.post_delayed(
                   prop.from,
-                  [shared, rx, pending](rt::RankContext& ctx) {
-                    send_proposal(shared, rx, ctx, pending);
+                  [shared, pending](rt::RankContext& ctx) {
+                    send_proposal(shared, ctx, pending);
                   },
                   backoff, 0, rt::MessageKind::transfer);
               retried = true;
@@ -422,28 +319,18 @@ StrategyResult GossipStrategy::balance(rt::Runtime& rt,
           epoch_valid = rt.run_until_quiescent() && epoch_valid;
         }
 
-        // Reconcile exhausted proposals at this quiescent point. The
-        // receiver's dedup table is ground truth: an entry means the
-        // proposal was applied (or rejected) and only the ack was lost;
-        // no entry means no delivery ever landed. Either way the origin
-        // takes back anything that is not provably accepted.
-        for (auto& outbox : rx->outbox) {
-          for (auto& prop : outbox) {
-            if (prop.resolved != 0) {
+        // The origin takes back every task that is not at its destination
+        // and not already home: proposals whose retries ran out, and
+        // refusals whose bounce was lost.
+        for (auto& outbox : shared->outbox) {
+          for (Proposal& prop : outbox) {
+            if (prop.accepted != 0 || prop.returned != 0) {
               continue;
             }
-            auto const& decided =
-                rx->seen[static_cast<std::size_t>(prop.to)];
-            char const* const outcome = decided.find(prop.seq);
-            bool const applied = outcome != nullptr && *outcome != 0;
-            prop.resolved = 1;
-            prop.accepted = applied ? 1 : 0;
-            if (!applied) {
-              auto& src =
-                  shared->states[static_cast<std::size_t>(prop.from)];
-              src.tasks.push_back(prop.task);
-              src.load += prop.task.load;
-            }
+            prop.returned = 1;
+            auto& src = shared->states[static_cast<std::size_t>(prop.from)];
+            src.tasks.push_back(prop.task);
+            src.load += prop.task.load;
           }
         }
       }
@@ -478,8 +365,7 @@ StrategyResult GossipStrategy::balance(rt::Runtime& rt,
       }
       bool eval_complete = true;
       auto const iter_stat =
-          rt::allreduce_loads(rt, spec_loads,
-                              resilient ? &eval_complete : nullptr)[0];
+          rt::allreduce_loads(rt, spec_loads, &eval_complete)[0];
       if (!eval_complete) {
         epoch_valid = false;
       }

@@ -9,16 +9,19 @@
 
 namespace tlb::rt {
 
-/// Resilience knobs for the hardened message/migration protocols
-/// (ObjectStore::migrate and the gossip strategy's transfer handshake).
-/// Timeouts in the simulated runtime are quiescence boundaries: a send
-/// whose acknowledgement has not arrived once the network is quiescent is
-/// provably lost (dropped or purged by the fault plane), so each retry
+/// Retry knobs for the message/migration protocols (ObjectStore::migrate
+/// and the gossip strategy's transfer stage). Timeouts in the simulated
+/// runtime are quiescence boundaries: a send whose effect (an installed
+/// payload, a decided proposal) is missing once the network is quiescent
+/// is provably lost (dropped or purged by the fault plane), so each retry
 /// attempt is separated by a run to quiescence and resent after an
-/// exponentially growing poll-count backoff.
+/// exponentially growing poll-count backoff. Fault-free, nothing is ever
+/// lost and no retry fires.
 struct RetryPolicy {
-  /// Resend attempts after the initial send before a transfer/migration
-  /// is abandoned (NACKed out) and its task reinstated at the origin.
+  /// Total delivery attempts, the initial send included (so at most
+  /// max_attempts - 1 retries), before a transfer proposal or migration
+  /// is abandoned and its task reinstated at the origin. Values below 1
+  /// mean 1.
   int max_attempts = 4;
   /// Attempt k's resend is parked for base << (k-1) drain polls of the
   /// origin rank (bounded by max_backoff_polls) before going out.
@@ -71,9 +74,8 @@ struct RuntimeConfig {
   /// depend on delivery order for correctness, and the test suite runs
   /// them under this mode to prove it.
   bool random_delivery = false;
-  /// Retry/timeout policy for the resilient protocols. Only consulted
-  /// when a fault plane is installed (Runtime::fault_active()); the
-  /// fault-free fast paths stay bit-identical to the historical behavior.
+  /// Retry/timeout policy for the transfer and migration protocols, and
+  /// the quiescence poll budget for every run_until_quiescent call.
   RetryPolicy retry;
 };
 

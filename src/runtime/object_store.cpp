@@ -1,7 +1,6 @@
 #include "runtime/object_store.hpp"
 
 #include <cstdint>
-#include <set>
 
 #include "obs/tracer.hpp"
 #include "support/assert.hpp"
@@ -58,90 +57,13 @@ std::size_t ObjectStore::total_tasks() const { return directory_.size(); }
 
 std::size_t ObjectStore::migrate(Runtime& rt,
                                  std::vector<Migration> const& migrations) {
+  // Idempotent commit protocol. Timeouts are quiescence boundaries: after
+  // run_until_quiescent an unapplied slot means the payload (or the driver
+  // post carrying it) was provably lost, so the driver retries with
+  // exponential backoff until the policy's attempt budget runs out, then
+  // rolls the migration back.
   TLB_SPAN_ARG("rt", "migrate", "count", migrations.size());
   failed_.clear();
-  if (rt.fault_active()) {
-    return migrate_resilient(rt, migrations);
-  }
-  [[maybe_unused]] std::size_t audit_tasks_before = 0;
-  TLB_AUDIT_BLOCK { audit_tasks_before = directory_.size(); }
-  std::size_t moved_bytes = 0;
-  for (Migration const& m : migrations) {
-    TLB_EXPECTS(m.to >= 0 && m.to < num_ranks());
-    auto const dir = directory_.find(m.task);
-    TLB_EXPECTS(dir != directory_.end());
-    TLB_EXPECTS(dir->second == m.from);
-    if (m.from == m.to) {
-      continue;
-    }
-
-    auto& from_map = local_[static_cast<std::size_t>(m.from)];
-    auto const it = from_map.find(m.task);
-    TLB_ASSERT(it != from_map.end());
-    std::size_t const bytes = it->second->wire_bytes();
-
-    // The origin rank sends the extracted payload to the target, which
-    // installs it — the in-process analogue of serialize/ship/deserialize.
-    auto shared_payload =
-        std::make_shared<std::unique_ptr<Migratable>>(std::move(it->second));
-    from_map.erase(it);
-    auto* store = this;
-    TaskId const task = m.task;
-    RankId const to = m.to;
-    rt.post(
-        m.from,
-        [store, shared_payload, task, to, bytes](RankContext& ctx) {
-          ctx.send(
-              to, bytes,
-              [store, shared_payload, task](RankContext& dest) {
-                store->local_[static_cast<std::size_t>(dest.rank())].emplace(
-                    task, std::move(*shared_payload));
-              },
-              MessageKind::migration);
-        },
-        0, MessageKind::migration);
-
-    dir->second = m.to;
-    moved_bytes += bytes;
-    ++migration_count_;
-  }
-  rt.run_until_quiescent();
-  TLB_AUDIT_BLOCK {
-    // Task conservation: a migration batch must neither create nor destroy
-    // tasks, every payload must be resident on exactly one rank once the
-    // protocol quiesces, and the directory must agree with the residency
-    // each migration promised.
-    TLB_INVARIANT(directory_.size() == audit_tasks_before,
-                  "migration conserves the global task count");
-    std::size_t resident = 0;
-    for (auto const& rank_map : local_) {
-      resident += rank_map.size();
-    }
-    TLB_INVARIANT(resident == directory_.size(),
-                  "every task resident on exactly one rank after migrate");
-    bool directory_agrees = true;
-    bool payload_installed = true;
-    for (Migration const& m : migrations) {
-      directory_agrees = directory_agrees && owner(m.task) == m.to;
-      payload_installed = payload_installed && find(m.to, m.task) != nullptr;
-    }
-    TLB_INVARIANT(directory_agrees,
-                  "directory points at each migration's destination");
-    TLB_INVARIANT(payload_installed,
-                  "each migrated payload installed at its destination");
-  }
-  migration_bytes_ += moved_bytes;
-  return moved_bytes;
-}
-
-std::size_t
-ObjectStore::migrate_resilient(Runtime& rt,
-                               std::vector<Migration> const& migrations) {
-  // Sequence-numbered, acknowledged, idempotent commit protocol for lossy
-  // networks. Timeouts are quiescence boundaries: after run_until_quiescent
-  // an unapplied slot means the payload (or the driver post carrying it)
-  // was provably lost, so the driver retries with exponential backoff until
-  // the policy's attempt budget runs out, then rolls the migration back.
   [[maybe_unused]] std::size_t audit_tasks_before = 0;
   TLB_AUDIT_BLOCK { audit_tasks_before = directory_.size(); }
   RetryPolicy const& retry = rt.config().retry;
@@ -152,12 +74,12 @@ ObjectStore::migrate_resilient(Runtime& rt,
     int attempts = 0;
     // Extracted payload. Owned here until the destination installs it, so
     // a dropped message never loses the task.
-    std::shared_ptr<std::unique_ptr<Migratable>> payload;
-    // `applied` is written once by the destination's install handler;
-    // `acked` by the origin's ack handler. Distinct bytes in distinct
-    // slots, each read by the driver only after quiescence.
+    std::unique_ptr<Migratable> payload;
+    // Written only by the destination's install handler, so it is also
+    // the dedup record: a duplicated (or retried-then-late-delivered)
+    // commit finds it set and is a no-op. Read by the driver only after
+    // quiescence.
     char applied = 0;
-    char acked = 0;
   };
 
   std::vector<CommitSlot> slots;
@@ -172,62 +94,49 @@ ObjectStore::migrate_resilient(Runtime& rt,
     }
     auto& from_map = local_[static_cast<std::size_t>(m.from)];
     auto const it = from_map.find(m.task);
-    TLB_ASSERT(it != from_map.end());
+    // The payload must be resident at the origin; a task listed twice in
+    // one batch was already extracted by its first entry.
+    TLB_EXPECTS(it != from_map.end());
     CommitSlot slot;
     slot.mig = m;
     slot.bytes = it->second->wire_bytes();
-    slot.payload =
-        std::make_shared<std::unique_ptr<Migratable>>(std::move(it->second));
+    slot.payload = std::move(it->second);
     from_map.erase(it);
     slots.push_back(std::move(slot));
   }
 
-  // Receiver-side dedup: slot index doubles as the batch-unique sequence
-  // number; each destination records the sequences it has installed so a
-  // duplicated (or retried-then-late-delivered) commit is a no-op. Each
-  // set is only touched by its own rank's handlers.
-  auto seen = std::make_shared<std::vector<std::set<std::size_t>>>(
-      static_cast<std::size_t>(num_ranks()));
-
-  auto post_attempt = [this, &rt, &slots, seen](std::size_t idx,
-                                                std::uint64_t delay_polls) {
-    CommitSlot* slot = &slots[idx];
+  // `slots` is never resized below, so handlers may hold slot pointers.
+  auto post_attempt = [this, &rt](CommitSlot* slot,
+                                  std::uint64_t delay_polls) {
     ++slot->attempts;
     auto* store = this;
     rt.post_delayed(
         slot->mig.from,
-        [store, slot, seen, idx](RankContext& ctx) {
+        [store, slot](RankContext& ctx) {
           ctx.send(
               slot->mig.to, slot->bytes,
-              [store, slot, seen, idx](RankContext& dest) {
-                auto& installed =
-                    (*seen)[static_cast<std::size_t>(dest.rank())];
-                if (!installed.insert(idx).second) {
+              [store, slot](RankContext& dest) {
+                if (slot->applied != 0) {
                   return; // duplicate commit: idempotent no-op
                 }
                 store->local_[static_cast<std::size_t>(dest.rank())].emplace(
-                    slot->mig.task, std::move(*slot->payload));
+                    slot->mig.task, std::move(slot->payload));
                 slot->applied = 1;
-                dest.send(
-                    slot->mig.from, 0,
-                    [slot](RankContext&) { slot->acked = 1; },
-                    MessageKind::migration);
               },
               MessageKind::migration);
         },
         delay_polls, 0, MessageKind::migration);
   };
 
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    post_attempt(i, 0);
+  for (CommitSlot& slot : slots) {
+    post_attempt(&slot, 0);
   }
   rt.run_until_quiescent();
 
   int const max_attempts = retry.max_attempts > 0 ? retry.max_attempts : 1;
   for (;;) {
     bool retried = false;
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      CommitSlot const& slot = slots[i];
+    for (CommitSlot& slot : slots) {
       if (slot.applied != 0 || slot.attempts >= max_attempts) {
         continue;
       }
@@ -237,7 +146,7 @@ ObjectStore::migrate_resilient(Runtime& rt,
         backoff = retry.max_backoff_polls;
       }
       rt.record_retry(MessageKind::migration);
-      post_attempt(i, backoff);
+      post_attempt(&slot, backoff);
       retried = true;
     }
     if (!retried) {
@@ -259,18 +168,21 @@ ObjectStore::migrate_resilient(Runtime& rt,
       // Retry budget exhausted: roll back. The payload never left the
       // driver-held slot (every delivery attempt was dropped), so it is
       // reinstated at the origin and the directory stays untouched.
-      TLB_ASSERT(*slot.payload != nullptr);
+      TLB_ASSERT(slot.payload != nullptr);
       local_[static_cast<std::size_t>(slot.mig.from)].emplace(
-          slot.mig.task, std::move(*slot.payload));
+          slot.mig.task, std::move(slot.payload));
       failed_.push_back(slot.mig);
     }
   }
 
   TLB_AUDIT_BLOCK {
-    // Conservation holds even under faults: commits moved the payload,
-    // rollbacks reinstated it, and nothing was created or destroyed.
+    // Task conservation: a migration batch must neither create nor destroy
+    // tasks (commits moved the payload, rollbacks reinstated it), every
+    // payload must be resident on exactly one rank once the protocol
+    // quiesces, and directory and residency must agree per commit or
+    // rollback.
     TLB_INVARIANT(directory_.size() == audit_tasks_before,
-                  "resilient migration conserves the global task count");
+                  "migration conserves the global task count");
     std::size_t resident = 0;
     for (auto const& rank_map : local_) {
       resident += rank_map.size();

@@ -62,26 +62,30 @@ public:
     return static_cast<RankId>(local_.size());
   }
 
-  /// Execute a batch of migrations via active messages on the runtime:
-  /// each origin rank extracts the payload and sends it to the target,
-  /// which installs it. Runs to quiescence. Migrations whose `from` does
-  /// not match the directory are rejected with a contract violation.
-  /// Returns the total payload bytes moved.
+  /// Execute a batch of migrations via active messages on the runtime
+  /// and run to quiescence: the driver extracts each payload into a commit
+  /// slot and posts one send to the origin rank, which ships the payload
+  /// to the target; the target installs it and marks the slot applied.
+  /// Fault-free, that is one driver post plus one payload send per
+  /// migration, with no acknowledgement.
   ///
-  /// When the runtime has an active fault plane (rt.fault_active()) the
-  /// batch runs a sequence-numbered commit protocol instead: each payload
-  /// send is acknowledged, deduplicated at the receiver (a duplicated
-  /// commit is a no-op), and retried with bounded exponential backoff per
-  /// rt.config().retry. Migrations whose retry budget is exhausted are
-  /// rolled back — the payload is reinstated at the origin, the directory
-  /// keeps the origin as owner, and the migration is reported through
-  /// failed_migrations(). Without a fault plane the legacy single-shot
-  /// message pattern is used, byte-for-byte identical to prior releases.
+  /// Preconditions (contract violations otherwise): every task is in the
+  /// directory with `from` as its owner, its payload is resident at
+  /// `from`, and no task appears twice in the batch.
+  ///
+  /// The commit is idempotent and retried: a duplicated payload message
+  /// finds its slot applied and is a no-op, and a slot still unapplied at
+  /// quiescence (every delivery lost) is resent with bounded exponential
+  /// backoff per rt.config().retry. A migration whose attempt budget runs
+  /// out is rolled back: the payload is reinstated at the origin, the
+  /// directory keeps the origin as owner, and the migration is reported
+  /// through failed_migrations(). Returns the payload bytes committed.
   std::size_t migrate(Runtime& rt, std::vector<Migration> const& migrations);
 
   /// Migrations from the most recent migrate() call whose commit could not
-  /// be completed before the retry budget ran out (only possible under an
-  /// active fault plane). Their tasks remain resident at the origin rank.
+  /// be completed before the retry budget ran out (only possible when a
+  /// fault plane loses messages). Their tasks remain resident at the
+  /// origin rank.
   [[nodiscard]] std::vector<Migration> const& failed_migrations() const {
     return failed_;
   }
@@ -95,9 +99,6 @@ public:
   }
 
 private:
-  std::size_t migrate_resilient(Runtime& rt,
-                                std::vector<Migration> const& migrations);
-
   std::vector<std::map<TaskId, std::unique_ptr<Migratable>>> local_;
   std::map<TaskId, RankId> directory_;
   std::vector<Migration> failed_;

@@ -218,10 +218,10 @@ public:
   /// installed the plane is dormant: one pointer test per send/drain.
   void set_fault_hook(FaultHook* hook) { fault_ = hook; }
 
-  /// True when a fault hook is installed — the condition under which the
-  /// hardened (sequence-numbered, acked, retried) protocol paths activate.
-  /// With no hook the protocols keep their historical fault-free message
-  /// patterns bit-identically.
+  /// True when a fault hook is installed. The runtime uses it to choose
+  /// per-message fault interposition for driver fanout (post_all); the
+  /// protocols themselves run one path either way, and their retries only
+  /// fire when a message was actually lost.
   [[nodiscard]] bool fault_active() const { return fault_ != nullptr; }
 
   /// Record a protocol-level resend (retry) for per-kind accounting.

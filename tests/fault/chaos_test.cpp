@@ -55,10 +55,11 @@ int seeds_from_env() {
 }
 
 void run_chaos_case(std::string_view profile_name, std::uint64_t seed,
-                    int threads) {
+                    int threads, bool nacks = false) {
   SCOPED_TRACE(std::string{"profile="} + std::string{profile_name} +
                " seed=" + std::to_string(seed) +
-               " threads=" + std::to_string(threads));
+               " threads=" + std::to_string(threads) +
+               " nacks=" + std::to_string(static_cast<int>(nacks)));
   RankId const p = 16;
   rt::RuntimeConfig cfg;
   cfg.num_ranks = p;
@@ -91,6 +92,7 @@ void run_chaos_case(std::string_view profile_name, std::uint64_t seed,
   auto params = lb::LbParams::tempered();
   params.num_trials = 2;
   params.num_iterations = 3;
+  params.use_nacks = nacks;
   auto const result = strategy.balance(rt, input, params);
 
   // The committed plan must be internally consistent regardless of what
@@ -145,6 +147,20 @@ TEST(ChaosMatrix, SweepSeedsTimesProfiles) {
       run_chaos_case(profile,
                      0x9e00u + 0x51u * static_cast<std::uint64_t>(s),
                      /*threads=*/1);
+    }
+  }
+}
+
+TEST(ChaosMatrix, SweepSeedsTimesProfilesWithNacks) {
+  // NACK bounces are transfer messages too: this column has the fault
+  // plane lose, duplicate and delay them alongside the proposals, and the
+  // driver's take-back must still conserve every task.
+  int const seeds = seeds_from_env();
+  for (auto const profile : FaultConfig::profile_names()) {
+    for (int s = 0; s < seeds; ++s) {
+      run_chaos_case(profile,
+                     0xa400u + 0x51u * static_cast<std::uint64_t>(s),
+                     /*threads=*/1, /*nacks=*/true);
     }
   }
 }

@@ -138,8 +138,8 @@ TEST(GossipDeltaFaultTest, DuplicatesAloneCannotChangeTheOutcome) {
   // payload is fixed at seed time and final knowledge is a pure set
   // union, so a duplicate-only run must reproduce the duplicate-free
   // result exactly. Both runs install a plane (the baseline at zero
-  // rates): installing one switches the transfer stage onto its
-  // resilient path, so only like-for-like runs are bit-comparable.
+  // rates), so driver fanout takes the same per-message interposition
+  // path in both.
   RankId const p = 32;
   auto const input = clustered(p, 4, 30, 0xabba);
   auto run_with = [&](double dup) {

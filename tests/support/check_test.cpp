@@ -12,6 +12,8 @@
 #include <memory>
 #include <vector>
 
+#include "fault/fault_config.hpp"
+#include "fault/fault_plane.hpp"
 #include "lb/cmf.hpp"
 #include "lb/incremental_cmf.hpp"
 #include "lb/knowledge.hpp"
@@ -143,6 +145,22 @@ TEST_F(AuditorTest, DoubleMigrateDiesOnContractViolation) {
   std::vector<Migration> const twice{Migration{7, 0, 1, 1.0},
                                      Migration{7, 0, 1, 1.0}};
   EXPECT_DEATH(store.migrate(runtime, twice), "precondition");
+}
+
+TEST_F(AuditorTest, DoubleMigrateUnderFaultPlaneDiesOnContractViolation) {
+  // The same batch with a fault plane installed (injecting nothing) must be
+  // refused the same way: the second entry finds its payload already
+  // extracted, which is the caller's contract breach, not an internal bug.
+  rt::RuntimeConfig cfg;
+  cfg.num_ranks = 2;
+  rt::Runtime runtime{cfg};
+  rt::ObjectStore store{2};
+  store.create(0, 7, std::make_unique<TestPayload>());
+  auto plane = fault::install_fault_plane(runtime, fault::FaultConfig::none());
+  std::vector<Migration> const twice{Migration{7, 0, 1, 1.0},
+                                     Migration{7, 0, 1, 1.0}};
+  EXPECT_DEATH(store.migrate(runtime, twice), "precondition");
+  runtime.set_fault_hook(nullptr);
 }
 
 TEST_F(AuditorTest, MigrationFromWrongRankDiesOnContractViolation) {
