@@ -111,7 +111,7 @@ void InformPlane::forward(rt::RankContext& ctx, int next_round) {
 }
 
 void InformPlane::receive(rt::RankContext& ctx,
-                          std::shared_ptr<rt::SnapshotPool::Slot> const& snap,
+                          rt::SnapshotPool::Lease const& snap,
                           std::size_t bytes) {
   auto& slot = slots_[static_cast<std::size_t>(ctx.rank())];
   rt::Unpacker unpacker{snap->bytes};

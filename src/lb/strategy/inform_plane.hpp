@@ -35,8 +35,9 @@
 ///
 /// Thread-confinement (PR 7 discipline): each Slot is mutated only by
 /// handlers executing on its own rank, so no slot field needs locking or
-/// capability annotations; the SnapshotPool's in-flight refcounts are the
-/// only cross-rank traffic and shared_ptr refcounting is atomic.
+/// capability annotations; the SnapshotPool's in-flight leases are the
+/// only cross-rank traffic, and their counts are atomic with
+/// release/acquire ordering.
 
 #include <cstdint>
 #include <memory>
@@ -61,7 +62,7 @@ inline constexpr std::uint64_t kGossipStreamTag = 0x6055'0000'0000'0001ull;
 /// One inform plane serves every epoch of one balance() invocation.
 /// shared_from_this lets forwarding closures keep the plane alive for the
 /// lifetime of in-flight messages while staying within the runtime's
-/// inline-handler budget (self + snapshot + bytes = 40 of 64 bytes).
+/// inline-handler budget (self + snapshot lease + bytes = 32 of 64 bytes).
 class InformPlane : public std::enable_shared_from_this<InformPlane> {
 public:
   InformPlane(RankId num_ranks, std::uint64_t root_seed, GossipWire wire,
@@ -116,7 +117,7 @@ private:
 
   /// Delivery of one gossip message on the destination rank.
   void receive(rt::RankContext& ctx,
-               std::shared_ptr<rt::SnapshotPool::Slot> const& snap,
+               rt::SnapshotPool::Lease const& snap,
                std::size_t bytes);
 
   std::vector<Slot> slots_;

@@ -1,6 +1,8 @@
 #include "runtime/object_store.hpp"
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 
 #include "obs/tracer.hpp"
 #include "support/assert.hpp"
@@ -16,44 +18,58 @@ ObjectStore::ObjectStore(RankId num_ranks)
 void ObjectStore::create(RankId rank, TaskId id,
                          std::unique_ptr<Migratable> payload) {
   TLB_EXPECTS(rank >= 0 && rank < num_ranks());
+  TLB_EXPECTS(id >= 0);
   TLB_EXPECTS(payload != nullptr);
-  auto const [it, inserted] = directory_.emplace(id, rank);
-  (void)it;
-  TLB_EXPECTS(inserted);
-  local_[static_cast<std::size_t>(rank)].emplace(id, std::move(payload));
+  auto const index = static_cast<std::size_t>(id);
+  if (index >= entries_.size()) {
+    entries_.resize(index + 1);
+  }
+  Entry& e = entries_[index];
+  TLB_EXPECTS(e.owner == invalid_rank);
+  e.owner = rank;
+  e.resident = rank;
+  e.payload = std::move(payload);
+  insert_local(rank, id);
+  ++task_count_;
+}
+
+ObjectStore::Entry const* ObjectStore::entry(TaskId id) const {
+  // A negative id converts to a huge index, so one compare rejects both.
+  auto const index = static_cast<std::size_t>(id);
+  return index < entries_.size() ? &entries_[index] : nullptr;
+}
+
+void ObjectStore::insert_local(RankId rank, TaskId id) {
+  auto& ids = local_[static_cast<std::size_t>(rank)];
+  ids.insert(std::lower_bound(ids.begin(), ids.end(), id), id);
+}
+
+void ObjectStore::erase_local(RankId rank, TaskId id) {
+  auto& ids = local_[static_cast<std::size_t>(rank)];
+  auto const it = std::lower_bound(ids.begin(), ids.end(), id);
+  TLB_ASSERT(it != ids.end() && *it == id);
+  ids.erase(it);
 }
 
 RankId ObjectStore::owner(TaskId id) const {
-  auto const it = directory_.find(id);
-  return it == directory_.end() ? invalid_rank : it->second;
+  Entry const* e = entry(id);
+  return e == nullptr ? invalid_rank : e->owner;
 }
 
 Migratable* ObjectStore::find(RankId rank, TaskId id) {
-  TLB_EXPECTS(rank >= 0 && rank < num_ranks());
-  auto& map = local_[static_cast<std::size_t>(rank)];
-  auto const it = map.find(id);
-  return it == map.end() ? nullptr : it->second.get();
+  return const_cast<Migratable*>(std::as_const(*this).find(rank, id));
 }
 
 Migratable const* ObjectStore::find(RankId rank, TaskId id) const {
   TLB_EXPECTS(rank >= 0 && rank < num_ranks());
-  auto const& map = local_[static_cast<std::size_t>(rank)];
-  auto const it = map.find(id);
-  return it == map.end() ? nullptr : it->second.get();
+  Entry const* e = entry(id);
+  return e != nullptr && e->resident == rank ? e->payload.get() : nullptr;
 }
 
 std::vector<TaskId> ObjectStore::tasks_on(RankId rank) const {
   TLB_EXPECTS(rank >= 0 && rank < num_ranks());
-  std::vector<TaskId> out;
-  auto const& map = local_[static_cast<std::size_t>(rank)];
-  out.reserve(map.size());
-  for (auto const& [id, payload] : map) {
-    out.push_back(id);
-  }
-  return out;
+  return local_[static_cast<std::size_t>(rank)];
 }
-
-std::size_t ObjectStore::total_tasks() const { return directory_.size(); }
 
 std::size_t ObjectStore::migrate(Runtime& rt,
                                  std::vector<Migration> const& migrations) {
@@ -64,8 +80,6 @@ std::size_t ObjectStore::migrate(Runtime& rt,
   // rolls the migration back.
   TLB_SPAN_ARG("rt", "migrate", "count", migrations.size());
   failed_.clear();
-  [[maybe_unused]] std::size_t audit_tasks_before = 0;
-  TLB_AUDIT_BLOCK { audit_tasks_before = directory_.size(); }
   RetryPolicy const& retry = rt.config().retry;
 
   struct CommitSlot {
@@ -86,22 +100,21 @@ std::size_t ObjectStore::migrate(Runtime& rt,
   slots.reserve(migrations.size());
   for (Migration const& m : migrations) {
     TLB_EXPECTS(m.to >= 0 && m.to < num_ranks());
-    auto const dir = directory_.find(m.task);
-    TLB_EXPECTS(dir != directory_.end());
-    TLB_EXPECTS(dir->second == m.from);
+    TLB_EXPECTS(owner(m.task) != invalid_rank);
+    Entry& e = entries_[static_cast<std::size_t>(m.task)];
+    TLB_EXPECTS(e.owner == m.from);
     if (m.from == m.to) {
       continue;
     }
-    auto& from_map = local_[static_cast<std::size_t>(m.from)];
-    auto const it = from_map.find(m.task);
     // The payload must be resident at the origin; a task listed twice in
     // one batch was already extracted by its first entry.
-    TLB_EXPECTS(it != from_map.end());
+    TLB_EXPECTS(e.resident == m.from);
     CommitSlot slot;
     slot.mig = m;
-    slot.bytes = it->second->wire_bytes();
-    slot.payload = std::move(it->second);
-    from_map.erase(it);
+    slot.bytes = e.payload->wire_bytes();
+    slot.payload = std::move(e.payload);
+    e.resident = invalid_rank;
+    erase_local(m.from, m.task);
     slots.push_back(std::move(slot));
   }
 
@@ -119,8 +132,12 @@ std::size_t ObjectStore::migrate(Runtime& rt,
                 if (slot->applied != 0) {
                   return; // duplicate commit: idempotent no-op
                 }
-                store->local_[static_cast<std::size_t>(dest.rank())].emplace(
-                    slot->mig.task, std::move(slot->payload));
+                // Touches only this task's entry and this rank's list.
+                Entry& e =
+                    store->entries_[static_cast<std::size_t>(slot->mig.task)];
+                e.payload = std::move(slot->payload);
+                e.resident = dest.rank();
+                store->insert_local(dest.rank(), slot->mig.task);
                 slot->applied = 1;
               },
               MessageKind::migration);
@@ -161,7 +178,7 @@ std::size_t ObjectStore::migrate(Runtime& rt,
       // Commit: the destination holds the payload; only now does the
       // directory learn the new owner (a failed round must leave it
       // pointing at the origin).
-      directory_[slot.mig.task] = slot.mig.to;
+      entries_[static_cast<std::size_t>(slot.mig.task)].owner = slot.mig.to;
       moved_bytes += slot.bytes;
       ++migration_count_;
     } else {
@@ -169,8 +186,10 @@ std::size_t ObjectStore::migrate(Runtime& rt,
       // driver-held slot (every delivery attempt was dropped), so it is
       // reinstated at the origin and the directory stays untouched.
       TLB_ASSERT(slot.payload != nullptr);
-      local_[static_cast<std::size_t>(slot.mig.from)].emplace(
-          slot.mig.task, std::move(slot.payload));
+      Entry& e = entries_[static_cast<std::size_t>(slot.mig.task)];
+      e.payload = std::move(slot.payload);
+      e.resident = slot.mig.from;
+      insert_local(slot.mig.from, slot.mig.task);
       failed_.push_back(slot.mig);
     }
   }
@@ -180,14 +199,35 @@ std::size_t ObjectStore::migrate(Runtime& rt,
     // tasks (commits moved the payload, rollbacks reinstated it), every
     // payload must be resident on exactly one rank once the protocol
     // quiesces, and directory and residency must agree per commit or
-    // rollback.
-    TLB_INVARIANT(directory_.size() == audit_tasks_before,
+    // rollback. The directory, recounted from the table, must still hold
+    // every task create() registered (migrate never touches task_count_).
+    auto const tasks = static_cast<std::size_t>(
+        std::count_if(entries_.begin(), entries_.end(), [](Entry const& e) {
+          return e.owner != invalid_rank;
+        }));
+    TLB_INVARIANT(tasks == task_count_,
                   "migration conserves the global task count");
-    std::size_t resident = 0;
-    for (auto const& rank_map : local_) {
-      resident += rank_map.size();
+    // Each task listed on its resident rank, and the lists hold no more
+    // ids than there are tasks: so each task is listed exactly once.
+    std::size_t listed = 0;
+    for (auto const& ids : local_) {
+      listed += ids.size();
     }
-    TLB_INVARIANT(resident == directory_.size(),
+    bool every_task_listed = true;
+    for (std::size_t id = 0; id < entries_.size(); ++id) {
+      Entry const& e = entries_[id];
+      if (e.owner == invalid_rank) {
+        continue;
+      }
+      every_task_listed =
+          every_task_listed && e.payload != nullptr &&
+          e.resident != invalid_rank &&
+          std::binary_search(
+              local_[static_cast<std::size_t>(e.resident)].begin(),
+              local_[static_cast<std::size_t>(e.resident)].end(),
+              static_cast<TaskId>(id));
+    }
+    TLB_INVARIANT(every_task_listed && listed == tasks,
                   "every task resident on exactly one rank after migrate");
     bool placement_agrees = true;
     for (CommitSlot const& slot : slots) {

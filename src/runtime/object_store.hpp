@@ -7,7 +7,6 @@
 /// so migration traffic is visible in the network statistics with the
 /// payload's modeled serialized size.
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -29,9 +28,11 @@ public:
   [[nodiscard]] virtual std::size_t wire_bytes() const = 0;
 };
 
-/// Per-job store of migratable tasks. Each rank owns a local map; a
-/// directory records the current owner of every task (standing in for the
-/// distributed location service a real AMT runtime maintains).
+/// Per-job store of migratable tasks. One flat table indexed by task id
+/// holds each task's directory owner (standing in for the distributed
+/// location service a real AMT runtime maintains), the rank its payload is
+/// resident on, and the payload itself; a per-rank id-sorted list backs
+/// tasks_on(). Task ids are dense and non-negative, so memory is O(max id).
 ///
 /// Thread-safety: creation and the migration protocol are driver-level
 /// operations executed between phases; handlers running concurrently
@@ -44,10 +45,12 @@ class ObjectStore {
 public:
   explicit ObjectStore(RankId num_ranks);
 
-  /// Register a new task on `rank`. Task ids must be unique.
+  /// Register a new task on `rank`. Task ids must be unique and
+  /// non-negative; the table grows to the largest id created.
   void create(RankId rank, TaskId id, std::unique_ptr<Migratable> payload);
 
-  /// Current owner of a task; invalid_rank if unknown.
+  /// Current owner of a task; invalid_rank if unknown (including negative
+  /// and past-the-end ids).
   [[nodiscard]] RankId owner(TaskId id) const;
 
   /// Payload access; null when the task is not on `rank`.
@@ -57,7 +60,7 @@ public:
   /// Task ids currently on `rank` (sorted).
   [[nodiscard]] std::vector<TaskId> tasks_on(RankId rank) const;
 
-  [[nodiscard]] std::size_t total_tasks() const;
+  [[nodiscard]] std::size_t total_tasks() const { return task_count_; }
   [[nodiscard]] RankId num_ranks() const {
     return static_cast<RankId>(local_.size());
   }
@@ -99,8 +102,27 @@ public:
   }
 
 private:
-  std::vector<std::map<TaskId, std::unique_ptr<Migratable>>> local_;
-  std::map<TaskId, RankId> directory_;
+  struct Entry {
+    /// Directory: the rank the task belongs to; invalid_rank for an id
+    /// never created. Written only by the driver.
+    RankId owner = invalid_rank;
+    /// Rank holding the payload; invalid_rank while a migration holds it
+    /// in a commit slot.
+    RankId resident = invalid_rank;
+    std::unique_ptr<Migratable> payload;
+  };
+
+  [[nodiscard]] Entry const* entry(TaskId id) const;
+  /// Add `id` to / remove it from `rank`'s sorted residency list.
+  void insert_local(RankId rank, TaskId id);
+  void erase_local(RankId rank, TaskId id);
+
+  /// Indexed by task id. Never resized inside migrate(): install handlers
+  /// on different ranks write distinct entries concurrently.
+  std::vector<Entry> entries_;
+  /// Per rank, the ids resident there in ascending order.
+  std::vector<std::vector<TaskId>> local_;
+  std::size_t task_count_ = 0;
   std::vector<Migration> failed_;
   std::size_t migration_bytes_ = 0;
   std::size_t migration_count_ = 0;

@@ -7,7 +7,6 @@
 /// balancer then reads the previous phase's measurements as its predictor
 /// of the next phase.
 
-#include <map>
 #include <vector>
 
 #include "lb/lb_types.hpp"
@@ -43,7 +42,8 @@ public:
   [[nodiscard]] std::vector<lb::TaskEntry> current_tasks(RankId rank) const;
 
 private:
-  using RankMeasurements = std::map<TaskId, LoadType>;
+  /// One rank's measurements, in ascending task id.
+  using RankMeasurements = std::vector<lb::TaskEntry>;
   std::vector<RankMeasurements> current_;
   std::vector<RankMeasurements> previous_;
   std::size_t phase_ = 0;

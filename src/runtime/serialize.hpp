@@ -13,13 +13,14 @@
 /// architectures (neither are most HPC wire formats); bounds-checked on
 /// the read side.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <span>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "support/assert.hpp"
@@ -174,21 +175,62 @@ private:
 
 /// A recycling pool of shared, refcounted byte buffers for messages whose
 /// payload is serialized once and fanned out to several destinations (the
-/// gossip forward pattern). acquire() hands back a slot whose buffer a
-/// scratch-mode Packer can fill; the handler closures copy the
-/// shared_ptr, and once the last message destructs the slot's use_count
-/// drops back to the pool's own reference, making it reusable — control
-/// block, vector header, and byte capacity all survive, so steady-state
-/// rounds perform zero heap allocations.
+/// gossip forward pattern). acquire() hands back a Lease on a slot whose
+/// buffer a scratch-mode Packer can fill; the handler closures copy the
+/// lease, and once the last message destructs the slot's lease count
+/// drops back to the pool's own, making it reusable — the slot, its
+/// vector header, and byte capacity all survive, so steady-state rounds
+/// perform zero heap allocations.
 ///
 /// Thread-confined: each protocol rank owns its pool and only that rank's
-/// handlers call acquire() (the shared_ptr copies held by in-flight
-/// messages are destroyed under the destination rank's drain, but
-/// shared_ptr refcounting is atomic, so only acquire() needs confinement).
+/// handlers call acquire(). The leases held by in-flight messages are
+/// dropped under the destination rank's drain, on another worker thread:
+/// dropping one is a release decrement and acquire() reads the count with
+/// acquire ordering, so a receiver's reads of the buffer happen-before the
+/// owner's next clear() of it. A dropped message drops its lease too.
 class SnapshotPool {
 public:
   struct Slot {
     std::vector<std::byte> bytes;
+    /// Leases on this slot, the pool's own included.
+    std::atomic<std::size_t> leases{0};
+  };
+
+  /// A counted reference to a slot. Copies share the slot; whichever
+  /// lease goes last (the pool's or a message's) frees it.
+  class Lease {
+  public:
+    Lease() = default;
+    Lease(Lease const& other) noexcept : slot_{other.slot_} {
+      if (slot_ != nullptr) {
+        slot_->leases.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    Lease(Lease&& other) noexcept
+        : slot_{std::exchange(other.slot_, nullptr)} {}
+    Lease& operator=(Lease other) noexcept {
+      std::swap(slot_, other.slot_);
+      return *this;
+    }
+    ~Lease() { reset(); }
+
+    void reset() noexcept {
+      Slot* const slot = std::exchange(slot_, nullptr);
+      if (slot != nullptr &&
+          slot->leases.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        delete slot;
+      }
+    }
+    [[nodiscard]] Slot* get() const noexcept { return slot_; }
+    Slot* operator->() const noexcept { return slot_; }
+
+  private:
+    friend class SnapshotPool;
+    explicit Lease(Slot* slot) noexcept : slot_{slot} {
+      slot_->leases.fetch_add(1, std::memory_order_relaxed);
+    }
+
+    Slot* slot_ = nullptr;
   };
 
   /// Pre-create `depth` slots, each with `capacity` bytes reserved. A
@@ -198,24 +240,24 @@ public:
   /// plane pins with its counter test).
   void prime(std::size_t depth, std::size_t capacity) {
     while (slots_.size() < depth) {
-      slots_.push_back(std::make_shared<Slot>());
+      slots_.push_back(Lease{new Slot});
     }
     for (auto& slot : slots_) {
       slot->bytes.reserve(capacity);
     }
   }
 
-  /// Fetch a slot with no other owners, cleared but with its capacity
-  /// intact. Allocates only when every pooled slot is still referenced by
-  /// an in-flight message.
-  [[nodiscard]] std::shared_ptr<Slot> acquire() {
+  /// Fetch a slot with no other leases, cleared but with its capacity
+  /// intact. Allocates only when every pooled slot is still leased by an
+  /// in-flight message.
+  [[nodiscard]] Lease acquire() {
     for (auto& slot : slots_) {
-      if (slot.use_count() == 1) {
+      if (slot->leases.load(std::memory_order_acquire) == 1) {
         slot->bytes.clear();
         return slot;
       }
     }
-    slots_.push_back(std::make_shared<Slot>());
+    slots_.push_back(Lease{new Slot});
     return slots_.back();
   }
 
@@ -223,7 +265,7 @@ public:
   [[nodiscard]] std::size_t size() const { return slots_.size(); }
 
 private:
-  std::vector<std::shared_ptr<Slot>> slots_;
+  std::vector<Lease> slots_;
 };
 
 } // namespace tlb::rt

@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "fault/fault_config.hpp"
+#include "fault/fault_plane.hpp"
+#include "support/rng.hpp"
+
 namespace tlb::rt {
 namespace {
 
@@ -111,6 +121,129 @@ TEST(ObjectStoreDeath, DuplicateTaskIdAborts) {
   ObjectStore store{2};
   store.create(0, 1, std::make_unique<Blob>(1));
   EXPECT_DEATH(store.create(1, 1, std::make_unique<Blob>(1)),
+               "precondition");
+}
+
+TEST(ObjectStore, UnknownIdsHaveNoOwnerAndNoPayload) {
+  ObjectStore store{2};
+  store.create(1, 4, std::make_unique<Blob>(1));
+  for (TaskId const id : {TaskId{-1}, TaskId{-1000}, TaskId{2}, TaskId{5},
+                          TaskId{1'000'000}}) {
+    EXPECT_EQ(store.owner(id), invalid_rank) << id;
+    EXPECT_EQ(store.find(0, id), nullptr) << id;
+    EXPECT_EQ(store.find(1, id), nullptr) << id;
+  }
+}
+
+struct DifferentialCase {
+  int threads;
+  bool chaos;
+};
+
+class ObjectStoreDifferential
+    : public ::testing::TestWithParam<DifferentialCase> {};
+
+// Random migration batches against a std::map reference model. Ids are
+// sparse (gaps and one large id); under the chaos plane with a single
+// attempt per migration some commits are lost and roll back, and the model
+// takes those from failed_migrations().
+TEST_P(ObjectStoreDifferential, MatchesMapModelAcrossMigrateBatches) {
+  RankId const p = 6;
+  auto cfg = config(p, GetParam().threads);
+  cfg.seed = 77;
+  cfg.retry.max_attempts = 1;
+  Runtime rt{cfg};
+  ObjectStore store{p};
+  std::unique_ptr<fault::FaultPlane> plane;
+  if (GetParam().chaos) {
+    plane = fault::install_fault_plane(rt, fault::FaultConfig::chaos());
+  }
+
+  Rng rng{2024};
+  std::map<TaskId, RankId> model;
+  for (TaskId id = 0; id < 400; id += 1 + static_cast<TaskId>(rng.index(4))) {
+    model[id] = static_cast<RankId>(rng.index(p));
+  }
+  model[50'000] = 2;
+  for (auto const& [id, rank] : model) {
+    store.create(rank, id, std::make_unique<Blob>(16, static_cast<int>(id)));
+  }
+  std::vector<TaskId> ids;
+  for (auto const& [id, rank] : model) {
+    ids.push_back(id);
+  }
+
+  auto expect_matches_model = [&](int batch) {
+    SCOPED_TRACE(batch);
+    ASSERT_EQ(store.total_tasks(), model.size());
+    std::vector<std::vector<TaskId>> on_rank(static_cast<std::size_t>(p));
+    for (auto const& [id, rank] : model) {
+      on_rank[static_cast<std::size_t>(rank)].push_back(id);
+      ASSERT_EQ(store.owner(id), rank) << id;
+      for (RankId r = 0; r < p; ++r) {
+        auto const* blob = dynamic_cast<Blob const*>(
+            std::as_const(store).find(r, id));
+        if (r == rank) {
+          ASSERT_NE(blob, nullptr) << id;
+          EXPECT_EQ(blob->tag(), id);
+        } else {
+          EXPECT_EQ(blob, nullptr) << id << " on " << r;
+        }
+      }
+    }
+    for (RankId r = 0; r < p; ++r) {
+      EXPECT_EQ(store.tasks_on(r), on_rank[static_cast<std::size_t>(r)]);
+    }
+    // Gaps stay unknown.
+    EXPECT_EQ(store.owner(401), invalid_rank);
+    EXPECT_EQ(store.owner(49'999), invalid_rank);
+  };
+
+  expect_matches_model(-1);
+  std::size_t rolled_back = 0;
+  for (int batch = 0; batch < 12; ++batch) {
+    rng.shuffle(std::span{ids});
+    std::vector<Migration> migrations;
+    for (std::size_t i = 0; i < ids.size() / 3; ++i) {
+      TaskId const id = ids[i];
+      migrations.push_back(
+          {id, model[id], static_cast<RankId>(rng.index(p)), 1.0});
+    }
+    (void)store.migrate(rt, migrations);
+    std::map<TaskId, RankId> failed;
+    for (Migration const& m : store.failed_migrations()) {
+      failed[m.task] = m.from;
+    }
+    rolled_back += failed.size();
+    for (Migration const& m : migrations) {
+      if (!failed.contains(m.task)) {
+        model[m.task] = m.to;
+      }
+    }
+    expect_matches_model(batch);
+  }
+  if (GetParam().chaos) {
+    EXPECT_GT(rolled_back, 0u); // the rollback path was exercised
+  } else {
+    EXPECT_EQ(rolled_back, 0u);
+  }
+  if (plane != nullptr) {
+    rt.set_fault_hook(nullptr);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DriversAndFaults, ObjectStoreDifferential,
+    ::testing::Values(DifferentialCase{1, false}, DifferentialCase{1, true},
+                      DifferentialCase{3, false}, DifferentialCase{3, true}),
+    [](auto const& param_info) {
+      return std::to_string(param_info.param.threads) + "threads" +
+             (param_info.param.chaos ? "Chaos" : "Clean");
+    });
+
+TEST(ObjectStoreDeath, NegativeTaskIdAborts) {
+  ObjectStore store{2};
+  EXPECT_DEATH(store.create(0, -1, std::make_unique<Blob>(1)),
                "precondition");
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace tlb::rt {
 namespace {
 
@@ -61,6 +63,51 @@ TEST(Phase, TaskDisappearsWhenNotRecorded) {
   auto const prev = inst.previous_tasks(0);
   ASSERT_EQ(prev.size(), 1u);
   EXPECT_EQ(prev[0].id, 1);
+}
+
+TEST(Phase, OutOfOrderRecordsComeBackSortedAndAccumulated) {
+  PhaseInstrumentation inst{2};
+  inst.record(0, 9, 1.0);
+  inst.record(0, 2, 0.5);
+  inst.record(0, 5, 2.0);
+  inst.record(0, 2, 0.25); // accumulates into an entry not at the back
+  inst.record(0, 1, 4.0);  // inserts at the front
+  inst.record(0, 9, 3.0);  // accumulates into the back entry
+  inst.record(1, 3, 7.0);
+  std::vector<lb::TaskEntry> const want{
+      {1, 4.0}, {2, 0.75}, {5, 2.0}, {9, 4.0}};
+  EXPECT_EQ(inst.current_tasks(0), want);
+  inst.start_phase();
+  EXPECT_EQ(inst.previous_tasks(0), want);
+  EXPECT_EQ(inst.previous_tasks(1), (std::vector<lb::TaskEntry>{{3, 7.0}}));
+  auto const loads = inst.previous_rank_loads();
+  EXPECT_EQ(loads[0], 4.0 + 0.75 + 2.0 + 4.0);
+  EXPECT_EQ(loads[1], 7.0);
+}
+
+TEST(Phase, RepeatedCyclesKeepExactTwoPhaseHistory) {
+  // Each phase records a different task set, out of order, so stale
+  // entries from two phases back would show up in `previous`.
+  PhaseInstrumentation inst{2};
+  std::vector<lb::TaskEntry> recorded;
+  for (int phase = 0; phase < 5; ++phase) {
+    std::vector<lb::TaskEntry> want;
+    for (TaskId id = 10 - phase; id >= phase; id -= 2) {
+      auto const load = static_cast<LoadType>(phase * 100 + id);
+      inst.record(0, id, load);
+      want.insert(want.begin(), {id, load});
+    }
+    EXPECT_EQ(inst.current_tasks(0), want);
+    if (phase > 0) {
+      EXPECT_EQ(inst.previous_tasks(0), recorded);
+    }
+    EXPECT_TRUE(inst.current_tasks(1).empty());
+    inst.start_phase();
+    EXPECT_EQ(inst.phase(), static_cast<std::size_t>(phase + 1));
+    EXPECT_TRUE(inst.current_tasks(0).empty());
+    EXPECT_EQ(inst.previous_tasks(0), want);
+    recorded = want;
+  }
 }
 
 TEST(PhaseDeath, NegativeLoadAborts) {
