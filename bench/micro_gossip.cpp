@@ -5,7 +5,8 @@
 ///   scripts/bench_perf.sh) it runs the google-benchmark micros: cost and
 ///   traffic of one epoch versus rank count and fanout, plus the coverage
 ///   the epidemic reaches — the O(P*f*k) bound the round-gated forwarding
-///   guarantees.
+///   guarantees. BM_KnowledgeMerge prices one delivery's merge per
+///   incoming entry at P = 4096.
 ///
 /// * Otherwise it runs the M8 delta-vs-full wire-plane comparison: for
 ///   each rank count, one seeded epoch under GossipWire::full and one
@@ -27,6 +28,7 @@
 
 #include "bench_json.hpp"
 #include "lbaf/experiment.hpp"
+#include "lb/knowledge.hpp"
 #include "lbaf/gossip_sim.hpp"
 #include "support/assert.hpp"
 #include "lbaf/workload.hpp"
@@ -99,6 +101,59 @@ void BM_GossipEpochVsRounds(benchmark::State& state) {
 }
 BENCHMARK(BM_GossipEpochVsRounds)->DenseRange(1, 10, 3)
     ->Unit(benchmark::kMillisecond);
+
+/// One delivery's Knowledge::merge at the lbaf-e2 scale: P = 4096 ranks,
+/// 1000 local entries, 250 incoming of which 50 are new to the receiver
+/// (an E2 delivery averages ~940 local, ~250 incoming, ~48 new). With
+/// range(0) == 1 the timed region also settles the merged tail, the cost
+/// the next sorted reader pays. `per_entry` is seconds per incoming entry
+/// (printed with an SI prefix: 2.5n is 2.5 ns).
+void BM_KnowledgeMerge(benchmark::State& state) {
+  bool const settle = state.range(0) != 0;
+  RankId const p = 4096;
+  std::size_t const local_n = 1000;
+  std::size_t const incoming_n = 250;
+  std::size_t const fresh_n = 50;
+  Rng rng{7};
+  std::vector<RankId> ids(static_cast<std::size_t>(p));
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = static_cast<RankId>(i);
+  }
+  rng.shuffle(std::span<RankId>{ids});
+  // ids[0, local_n) are known locally; the message repeats the first
+  // incoming_n - fresh_n of them and brings fresh_n unknown ranks.
+  lb::Knowledge base;
+  base.reserve(static_cast<std::size_t>(p));
+  for (std::size_t i = 0; i < local_n; ++i) {
+    base.insert(ids[i], rng.uniform(0.0, 1.0));
+  }
+  lb::Knowledge incoming;
+  for (std::size_t i = 0; i < incoming_n - fresh_n; ++i) {
+    incoming.insert(ids[i], rng.uniform(0.0, 1.0));
+  }
+  for (std::size_t i = 0; i < fresh_n; ++i) {
+    incoming.insert(ids[local_n + i], rng.uniform(0.0, 1.0));
+  }
+  benchmark::DoNotOptimize(base.entries().data());
+  benchmark::DoNotOptimize(incoming.entries().data());
+  lb::Knowledge work = base;
+  for (auto _ : state) {
+    state.PauseTiming();
+    work = base; // copy-assignment reuses work's capacity
+    state.ResumeTiming();
+    work.merge(incoming);
+    if (settle) {
+      benchmark::DoNotOptimize(work.entries().data());
+    }
+    benchmark::ClobberMemory();
+  }
+  TLB_ASSERT(work.size() == local_n + fresh_n);
+  state.counters["per_entry"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) *
+          static_cast<double>(incoming_n),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_KnowledgeMerge)->ArgName("settle")->Arg(0)->Arg(1);
 
 // --- M8 comparison mode -------------------------------------------------
 

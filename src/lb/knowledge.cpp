@@ -1,6 +1,8 @@
 #include "lb/knowledge.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <limits>
 
 #include "support/assert.hpp"
@@ -9,96 +11,180 @@ namespace tlb::lb {
 
 namespace {
 
-auto lower_bound_rank(std::vector<KnownRank> const& entries, RankId rank) {
+template <typename It>
+It lower_bound_rank(It first, It last, RankId rank) {
   return std::lower_bound(
-      entries.begin(), entries.end(), rank,
+      first, last, rank,
       [](KnownRank const& e, RankId r) { return e.rank < r; });
+}
+
+bool by_rank(KnownRank const& a, KnownRank const& b) {
+  return a.rank < b.rank;
 }
 
 } // namespace
 
-void Knowledge::insert(RankId rank, LoadType load) {
-  auto const it = lower_bound_rank(entries_, rank);
-  if (it != entries_.end() && it->rank == rank) {
-    auto const idx = static_cast<std::size_t>(it - entries_.begin());
-    entries_[idx].load = load;
-    entries_[idx].version = next_version_++;
+void Knowledge::cover(RankId rank) {
+  TLB_EXPECTS(rank >= 0);
+  auto const words = (static_cast<std::size_t>(rank) >> 6) + 1;
+  if (bits_.size() < words) {
+    bits_.resize(words, 0);
+  }
+}
+
+void Knowledge::reserve(std::size_t n) {
+  entries_.reserve(n);
+  auto const words = (n + 63) / 64;
+  if (bits_.size() < words) {
+    bits_.resize(words, 0);
+  }
+}
+
+void Knowledge::index_sorted() {
+  sorted_ = entries_.size();
+  if (entries_.empty()) {
     return;
   }
-  entries_.insert(it, KnownRank{rank, next_version_++, load});
+  cover(entries_.back().rank);
+  for (auto const& e : entries_) {
+    set_bit(e.rank);
+  }
+}
+
+void Knowledge::reset_bits() {
+  // Whichever touches less memory: the whole bitmap or one bit per entry.
+  if (bits_.size() <= entries_.size()) {
+    std::fill(bits_.begin(), bits_.end(), 0);
+    return;
+  }
+  for (auto const& e : entries_) {
+    reset_bit(e.rank);
+  }
+}
+
+void Knowledge::clear() {
+  reset_bits();
+  entries_.clear();
+  sorted_ = 0;
+  next_version_ = 1;
+  truncated_ = false;
+}
+
+void Knowledge::insert(RankId rank, LoadType load) {
+  if (!contains(rank)) {
+    cover(rank);
+    set_bit(rank);
+    if (sorted_ == entries_.size() &&
+        (entries_.empty() || entries_.back().rank < rank)) {
+      ++sorted_; // lands past the last sorted rank: no tail yet
+    }
+    entries_.push_back(KnownRank{rank, next_version_++, load});
+    return;
+  }
+  settle();
+  auto const it = lower_bound_rank(entries_.begin(), entries_.end(), rank);
+  it->load = load;
+  it->version = next_version_++;
 }
 
 void Knowledge::merge(Knowledge const& other) {
-  // Count the genuinely new ranks first, so the merge can run in place:
-  // grow once, then fill back to front (descending rank) without ever
-  // overwriting a local entry that has not been consumed yet.
-  std::size_t fresh = 0;
-  {
-    auto a = entries_.begin();
-    for (auto const& e : other.entries_) {
-      while (a != entries_.end() && a->rank < e.rank) {
-        ++a;
-      }
-      if (a == entries_.end() || a->rank != e.rank) {
-        ++fresh;
-      }
-    }
+  auto const incoming = other.entries();
+  if (incoming.empty()) {
+    return;
   }
-  if (fresh == 0) {
-    return; // local load wins on every conflict; nothing to do
-  }
+  // Incoming ranks ascend, so the fresh ones are appended, and stamped,
+  // in ascending rank order: what repeated insert() calls in rank order
+  // would have produced. A known rank is skipped: local load wins.
+  cover(incoming.back().rank);
   auto const old_size = entries_.size();
-  entries_.resize(old_size + fresh);
-  // Stamp new entries so ascending rank gets ascending versions, matching
-  // what repeated insert() calls in rank order would have produced. The
-  // backward fill visits fresh ranks in descending order, so stamps are
-  // handed out from the top down.
-  std::uint32_t stamp = next_version_ + static_cast<std::uint32_t>(fresh) - 1;
-  next_version_ += static_cast<std::uint32_t>(fresh);
-  auto out = entries_.end();
-  auto a = entries_.begin() + static_cast<std::ptrdiff_t>(old_size);
-  auto b = other.entries_.end();
-  while (b != other.entries_.begin()) {
-    auto const& incoming = *(b - 1);
-    // Drain local entries above the incoming rank, consuming the match if
-    // one exists (local load wins).
-    bool matched = false;
-    while (a != entries_.begin()) {
-      auto const& local = *(a - 1);
-      if (local.rank < incoming.rank) {
-        break;
-      }
-      matched = local.rank == incoming.rank;
-      *--out = *--a;
-      if (matched) {
-        break;
-      }
+  for (auto const& e : incoming) {
+    auto& word = bits_[static_cast<std::size_t>(e.rank) >> 6];
+    auto const bit = std::uint64_t{1} << (static_cast<unsigned>(e.rank) & 63);
+    if ((word & bit) == 0) {
+      word |= bit;
+      entries_.push_back(KnownRank{e.rank, next_version_++, e.load});
     }
-    if (!matched) {
-      *--out = KnownRank{incoming.rank, stamp--, incoming.load};
-    }
-    --b;
   }
-  TLB_ENSURES(out == a); // remaining prefix is already in place
+  if (sorted_ == old_size && entries_.size() > old_size &&
+      (old_size == 0 ||
+       entries_[old_size - 1].rank < entries_[old_size].rank)) {
+    sorted_ = entries_.size(); // the fresh run extends the sorted prefix
+  }
+}
+
+void Knowledge::settle() const {
+  auto const n = entries_.size();
+  if (sorted_ == n) {
+    return;
+  }
+  auto const tail = entries_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+  std::sort(tail, entries_.end(), by_rank);
+  // Prefix entries below the smallest tail rank already sit in their
+  // final slots; everything from `first` on may move.
+  RankId const lo = tail->rank;
+  auto const first = static_cast<std::size_t>(
+      lower_bound_rank(entries_.begin(), tail, lo) - entries_.begin());
+  // 1. Merge walk: overwrite each moving entry's rank with its final
+  //    slot. The rank is not lost: slot i holds the i-th known rank,
+  //    which step 3 reads back off the bitmap.
+  {
+    auto a = first;
+    auto b = sorted_;
+    auto slot = first;
+    while (b < n) {
+      auto& next = a < sorted_ && entries_[a].rank < entries_[b].rank
+                       ? entries_[a++]
+                       : entries_[b++];
+      next.rank = static_cast<RankId>(slot++);
+    }
+    for (; a < sorted_; ++a) {
+      entries_[a].rank = static_cast<RankId>(slot++);
+    }
+  }
+  // 2. Cycle-leader permutation: each store puts one entry in its final
+  //    slot, so every entry moves at most once and no buffer is needed.
+  for (auto i = first; i < n; ++i) {
+    auto slot = static_cast<std::size_t>(entries_[i].rank);
+    if (slot == i) {
+      continue;
+    }
+    KnownRank moving = entries_[i];
+    do {
+      KnownRank const displaced = entries_[slot];
+      entries_[slot] = moving;
+      moving = displaced;
+      slot = static_cast<std::size_t>(moving.rank);
+    } while (slot != i);
+    entries_[i] = moving;
+  }
+  // 3. Restore the ranks: the known ranks from lo upward, in order.
+  auto i = first;
+  for (auto w = static_cast<std::size_t>(lo) >> 6; i < n; ++w) {
+    auto word = bits_[w];
+    if ((w << 6) < static_cast<std::size_t>(lo)) {
+      word &= ~std::uint64_t{0} << (static_cast<unsigned>(lo) & 63);
+    }
+    for (; word != 0; word &= word - 1) {
+      entries_[i++].rank = static_cast<RankId>(
+          (w << 6) + static_cast<std::size_t>(std::countr_zero(word)));
+    }
+  }
+  sorted_ = n;
 }
 
 void Knowledge::add_load(RankId rank, LoadType delta) {
-  auto const it = lower_bound_rank(entries_, rank);
-  TLB_EXPECTS(it != entries_.end() && it->rank == rank);
-  auto const idx = static_cast<std::size_t>(it - entries_.begin());
-  entries_[idx].load += delta;
-  entries_[idx].version = next_version_++;
-}
-
-bool Knowledge::contains(RankId rank) const {
-  auto const it = lower_bound_rank(entries_, rank);
-  return it != entries_.end() && it->rank == rank;
+  TLB_EXPECTS(contains(rank));
+  settle();
+  auto const it = lower_bound_rank(entries_.begin(), entries_.end(), rank);
+  it->load += delta;
+  it->version = next_version_++;
 }
 
 void Knowledge::truncate_to(std::size_t cap) {
   if (cap == 0 || entries_.size() <= cap) {
     return;
   }
+  settle();
   std::vector<KnownRank> by_load = entries_;
   std::nth_element(by_load.begin(),
                    by_load.begin() + static_cast<std::ptrdiff_t>(cap),
@@ -109,12 +195,13 @@ void Knowledge::truncate_to(std::size_t cap) {
                      }
                      return a.rank < b.rank;
                    });
+  for (std::size_t i = cap; i < by_load.size(); ++i) {
+    reset_bit(by_load[i].rank);
+  }
   by_load.resize(cap);
-  std::sort(by_load.begin(), by_load.end(),
-            [](KnownRank const& a, KnownRank const& b) {
-              return a.rank < b.rank;
-            });
+  std::sort(by_load.begin(), by_load.end(), by_rank);
   entries_ = std::move(by_load);
+  sorted_ = cap;
   truncated_ = true;
 }
 
@@ -122,25 +209,28 @@ void Knowledge::truncate_random(std::size_t cap, Rng& rng) {
   if (cap == 0 || entries_.size() <= cap) {
     return;
   }
-  // Partial Fisher-Yates: move a random survivor into each of the first
-  // `cap` slots, then restore the sorted-by-rank invariant.
+  // Partial Fisher-Yates over the settled order: move a random survivor
+  // into each of the first `cap` slots, then restore the sorted-by-rank
+  // invariant.
+  settle();
   for (std::size_t i = 0; i < cap; ++i) {
     auto const j = i + rng.index(entries_.size() - i);
     using std::swap;
     swap(entries_[i], entries_[j]);
   }
+  for (std::size_t i = cap; i < entries_.size(); ++i) {
+    reset_bit(entries_[i].rank);
+  }
   entries_.resize(cap);
-  std::sort(entries_.begin(), entries_.end(),
-            [](KnownRank const& a, KnownRank const& b) {
-              return a.rank < b.rank;
-            });
+  std::sort(entries_.begin(), entries_.end(), by_rank);
+  sorted_ = cap;
   truncated_ = true;
 }
 
 LoadType Knowledge::load_of(RankId rank) const {
-  auto const it = lower_bound_rank(entries_, rank);
-  TLB_EXPECTS(it != entries_.end() && it->rank == rank);
-  return it->load;
+  TLB_EXPECTS(contains(rank));
+  settle();
+  return lower_bound_rank(entries_.begin(), entries_.end(), rank)->load;
 }
 
 std::size_t Knowledge::delta_count(std::uint32_t since) const {
@@ -150,6 +240,7 @@ std::size_t Knowledge::delta_count(std::uint32_t since) const {
 }
 
 Knowledge Knowledge::delta_copy(std::uint32_t since) const {
+  settle();
   Knowledge out;
   out.entries_.reserve(delta_count(since));
   for (auto const& e : entries_) {
@@ -157,10 +248,12 @@ Knowledge Knowledge::delta_copy(std::uint32_t since) const {
       out.entries_.push_back(KnownRank{e.rank, out.next_version_++, e.load});
     }
   }
+  out.index_sorted();
   return out;
 }
 
 std::size_t Knowledge::encoded_bytes(std::uint32_t since) const {
+  settle();
   std::size_t count = 0;
   std::size_t id_bytes = 0;
   RankId prev = -1; // first selected id is encoded absolute (prev + 1 == 0)
@@ -177,25 +270,28 @@ std::size_t Knowledge::encoded_bytes(std::uint32_t since) const {
 }
 
 void Knowledge::pack_since(rt::Packer& packer, std::uint32_t since) const {
-  auto const start = packer.size();
-  packer.pack_varint(delta_count(since));
+  settle();
+  // The byte accountant sizes the payload, so the buffer grows once; the
+  // writer must then fill it exactly. If the two ever disagree the
+  // modeled traffic is a lie, so fail loudly.
+  auto const out = packer.extend(encoded_bytes(since));
+  auto* p = rt::put_varint(out.data(), delta_count(since));
   RankId prev = -1;
   for (auto const& e : entries_) {
     if (e.version <= since) {
       continue;
     }
-    packer.pack_varint(static_cast<std::uint64_t>(e.rank - prev - 1));
+    p = rt::put_varint(p, static_cast<std::uint64_t>(e.rank - prev - 1));
     prev = e.rank;
   }
   for (auto const& e : entries_) {
     if (e.version <= since) {
       continue;
     }
-    packer.pack(e.load);
+    std::memcpy(p, &e.load, sizeof(LoadType));
+    p += sizeof(LoadType);
   }
-  // The byte accountant and the serializer share encoded_bytes(); if the
-  // two ever disagree the modeled traffic is a lie, so fail loudly.
-  TLB_ENSURES(packer.size() - start == encoded_bytes(since));
+  TLB_ENSURES(p == out.data() + out.size());
 }
 
 Knowledge Knowledge::unpack(rt::Unpacker& unpacker) {
@@ -206,6 +302,7 @@ Knowledge Knowledge::unpack(rt::Unpacker& unpacker) {
 
 void Knowledge::unpack_into(rt::Unpacker& unpacker) {
   auto const n = static_cast<std::size_t>(unpacker.unpack_varint());
+  reset_bits();
   entries_.clear();
   entries_.resize(n);
   std::int64_t prev = -1;
@@ -224,6 +321,7 @@ void Knowledge::unpack_into(rt::Unpacker& unpacker) {
   for (std::size_t i = 0; i < n; ++i) {
     entries_[i].load = unpacker.unpack<LoadType>();
   }
+  index_sorted();
   next_version_ = static_cast<std::uint32_t>(n) + 1;
   truncated_ = false;
 }

@@ -3,8 +3,17 @@
 /// \file knowledge.hpp
 /// The partial-information state a rank accumulates during the gossip
 /// stage: the set S^p of known (initially underloaded) ranks and the
-/// LOAD^p() map of their last-known loads (Algorithm 1). Kept sorted by
-/// rank id so merges are deterministic and lookups are O(log n).
+/// LOAD^p() map of their last-known loads (Algorithm 1). Readers see the
+/// entries sorted by rank id, so every traversal is deterministic and
+/// lookups are O(log n).
+///
+/// Merges cost time in proportion to the incoming payload, not to the
+/// local list: a membership bitmap over rank ids finds the fresh ranks
+/// at one bit test per incoming entry, and fresh entries are appended
+/// as an unsorted tail behind the sorted prefix. The first reader that
+/// needs sorted order (entries(), load_of, add_load, an overwriting
+/// insert, the pack/delta/wire-size functions, truncation) settles the
+/// tail with one in-place permutation pass; see settle().
 ///
 /// Entries carry an owner-local, monotone *version stamp*: every insert,
 /// overwrite, load update, or merge-in of a previously unknown rank
@@ -59,45 +68,57 @@ struct KnownRank {
 static_assert(sizeof(KnownRank) == 16,
               "version must live in what used to be struct padding");
 
-/// Sorted-by-rank collection of known peers. Invariant: ranks strictly
-/// increasing (|S^p| == |LOAD^p()| by construction, the paper's Require).
+/// Collection of known peers, read in rank order. Invariant: ranks are
+/// distinct (|S^p| == |LOAD^p()| by construction, the paper's Require)
+/// and entries() is strictly increasing in rank.
+///
+/// Thread confinement: the const readers that settle the tail write the
+/// entry storage, so a Knowledge must not be read from two threads at
+/// once. Each inform-plane rank owns its knowledge and only that rank's
+/// handlers touch it.
 class Knowledge {
 public:
   Knowledge() = default;
 
-  /// Insert or overwrite the load for a rank. Stamps the entry.
+  /// Insert or overwrite the load for a rank. Stamps the entry. A new
+  /// rank is appended to the unsorted tail; an overwrite settles first.
+  /// Precondition: rank >= 0.
   void insert(RankId rank, LoadType load);
 
   /// Merge another rank's knowledge. Existing entries keep the *incoming*
   /// load only when we did not already know the rank: a rank's own local
   /// updates (speculative transfers it directed at the peer) are fresher
   /// than gossiped initial loads. Newly learned entries are stamped in
-  /// ascending rank order. Allocation-free once capacity suffices (the
-  /// merge is performed in place, back to front).
+  /// ascending rank order and appended to the unsorted tail, so a merge
+  /// costs O(|other|) whatever the local size. Allocation-free once the
+  /// entry capacity and the bitmap suffice (see reserve()).
   void merge(Knowledge const& other);
 
   /// Add `delta` to a known rank's load. Precondition: rank is known.
   /// Stamps the entry (its value changed).
   void add_load(RankId rank, LoadType delta);
 
-  [[nodiscard]] bool contains(RankId rank) const;
+  /// One bitmap test; never settles.
+  [[nodiscard]] bool contains(RankId rank) const {
+    auto const word = static_cast<std::size_t>(rank) >> 6;
+    return rank >= 0 && word < bits_.size() &&
+           ((bits_[word] >> (static_cast<unsigned>(rank) & 63)) & 1) != 0;
+  }
   /// Last-known load; precondition: rank is known.
   [[nodiscard]] LoadType load_of(RankId rank) const;
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] bool empty() const { return entries_.empty(); }
+  /// Every entry, strictly sorted by rank. Settles the tail.
   [[nodiscard]] std::span<KnownRank const> entries() const {
+    settle();
     return entries_;
   }
 
   /// Forget everything: entries, version counter, truncation flag.
-  /// Capacity is retained, so a cleared-and-refilled knowledge allocates
-  /// only while growing past its historical maximum.
-  void clear() {
-    entries_.clear();
-    next_version_ = 1;
-    truncated_ = false;
-  }
+  /// Capacity (entries and bitmap) is retained, so a cleared-and-refilled
+  /// knowledge allocates only while growing past its historical maximum.
+  void clear();
 
   /// Bound the knowledge to the `cap` entries with the lowest loads (the
   /// most attractive transfer targets), breaking load ties by rank id.
@@ -141,10 +162,11 @@ public:
   /// model delta payloads; the runtime protocol packs straight to bytes.
   [[nodiscard]] Knowledge delta_copy(std::uint32_t since) const;
 
-  /// Pre-grow the entry vector to hold `n` entries without reallocating.
-  /// The inform plane reserves to P so steady-state merges and unpacks
-  /// never touch the allocator.
-  void reserve(std::size_t n) { entries_.reserve(n); }
+  /// Pre-grow the entry vector to hold `n` entries and the membership
+  /// bitmap to cover rank ids below `n`, without reallocating later. The
+  /// inform plane reserves to P so steady-state merges, unpacks and
+  /// settles never touch the allocator.
+  void reserve(std::size_t n);
 
   // --- Wire format ---
 
@@ -193,7 +215,34 @@ private:
   void pack_since(rt::Packer& packer, std::uint32_t since) const;
   [[nodiscard]] std::size_t encoded_bytes(std::uint32_t since) const;
 
-  std::vector<KnownRank> entries_;
+  /// Grow the bitmap to cover `rank`.
+  void cover(RankId rank);
+  void set_bit(RankId rank) {
+    bits_[static_cast<std::size_t>(rank) >> 6] |=
+        std::uint64_t{1} << (static_cast<unsigned>(rank) & 63);
+  }
+  void reset_bit(RankId rank) {
+    bits_[static_cast<std::size_t>(rank) >> 6] &=
+        ~(std::uint64_t{1} << (static_cast<unsigned>(rank) & 63));
+  }
+  /// Clear every bit (the entries are about to be dropped).
+  void reset_bits();
+  /// Mark freshly filled, rank-sorted entries (whose bits are clear) as
+  /// known and sorted.
+  void index_sorted();
+  /// Restore sorted order: sort the tail, then move every tail entry,
+  /// and every prefix entry it displaces, to its final slot in one
+  /// in-place permutation pass. O(k log k + moved entries) for a tail of
+  /// k; allocation-free.
+  void settle() const;
+
+  /// Entries [0, sorted_) are strictly rank-sorted; [sorted_, size()) is
+  /// the unsorted tail of merge/insert appends. Mutable because the
+  /// const readers settle it.
+  mutable std::vector<KnownRank> entries_;
+  mutable std::size_t sorted_ = 0;
+  /// Membership bitmap: bit r set iff rank r is known.
+  std::vector<std::uint64_t> bits_;
   /// Next stamp to hand out; 0 is reserved as "before everything".
   std::uint32_t next_version_ = 1;
   /// Set when truncation actually dropped entries; consumed by

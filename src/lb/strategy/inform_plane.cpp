@@ -20,11 +20,12 @@ InformPlane::InformPlane(RankId num_ranks, std::uint64_t root_seed,
   Rng const gossip_root = Rng{root_seed}.split(kGossipStreamTag);
   // Steady-state inform rounds must not allocate, so every capacity is
   // grown to its bound up front: knowledge and inbox to P entries (the
-  // most any rank can ever learn), the snapshot pool to one slot per
-  // forwarding event (a rank forwards at most once per round — the
-  // `forwarded` bitmask — and a slot is recycled once its f messages
-  // drain) with each buffer at the wire-format ceiling plus the round/flag
-  // header. ~P*(rounds*13 + 32) bytes per rank, transient per balance().
+  // most any rank can ever learn) and their membership bitmaps to P bits,
+  // the snapshot pool to one slot per forwarding event (a rank forwards
+  // at most once per round — the `forwarded` bitmask — and a slot is
+  // recycled once its f messages drain) with each buffer at the
+  // wire-format ceiling plus the round/flag header.
+  // ~P*(rounds*13 + 32.25) bytes per rank, transient per balance().
   auto const pool_depth = static_cast<std::size_t>(std::max(rounds, 1));
   auto const pool_capacity =
       Knowledge::wire_capacity_bound(static_cast<std::size_t>(num_ranks)) +

@@ -21,14 +21,11 @@ struct GossipMessage {
   std::shared_ptr<lb::Knowledge const> payload;
   int round = 0;
   bool full = true; ///< full snapshot vs delta payload (GossipWire)
+  /// Modeled wire size: what the distributed protocol packs (varint round
+  /// + one flag byte + the entries encoding). Computed once per
+  /// forwarding event; its f messages share it.
+  std::size_t bytes = 0;
 };
-
-/// Modeled wire size of one message: what the distributed protocol packs
-/// (varint round + one flag byte + the entries encoding).
-std::size_t message_wire_bytes(GossipMessage const& msg) {
-  return rt::varint_size(static_cast<std::uint64_t>(msg.round)) + 1 +
-         msg.payload->wire_bytes();
-}
 
 /// Draw `self`'s gossip peers for the epoch: min(fanout, P-1) distinct
 /// ranks != self, uniform without replacement. Every forwarding event of
@@ -104,8 +101,11 @@ run_gossip(std::vector<LoadType> const& rank_loads, LoadType l_ave, int fanout,
                    knowledge[fi].delta_copy(hwm[fi]));
     hwm[fi] = knowledge[fi].version_mark();
     need_full[fi] = 0;
+    std::size_t const bytes =
+        rt::varint_size(static_cast<std::uint64_t>(next_round)) + 1 +
+        snapshot->wire_bytes();
     for (RankId const dest : overlay[fi]) {
-      queue.push_back(GossipMessage{dest, snapshot, next_round, full});
+      queue.push_back(GossipMessage{dest, snapshot, next_round, full, bytes});
     }
   };
 
@@ -127,7 +127,7 @@ run_gossip(std::vector<LoadType> const& rank_loads, LoadType l_ave, int fanout,
 
     ++local_stats.messages;
     local_stats.full_messages += msg.full ? 1 : 0;
-    local_stats.bytes += message_wire_bytes(msg);
+    local_stats.bytes += msg.bytes;
     local_stats.max_round_seen = std::max(
         local_stats.max_round_seen, static_cast<std::size_t>(msg.round));
 
@@ -144,7 +144,7 @@ run_gossip(std::vector<LoadType> const& rank_loads, LoadType l_ave, int fanout,
     round_stats.knowledge_sum += k;
     ++round_stats.messages;
     round_stats.full_messages += msg.full ? 1 : 0;
-    round_stats.bytes += message_wire_bytes(msg);
+    round_stats.bytes += msg.bytes;
 
     if (msg.round < rounds) {
       std::uint64_t const bit = 1ull << msg.round;

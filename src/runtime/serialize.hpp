@@ -40,6 +40,17 @@ namespace tlb::rt {
   return n;
 }
 
+/// Write `value` as a LEB128 varint at `out` (varint_size(value) bytes)
+/// and return one past the last byte written.
+inline std::byte* put_varint(std::byte* out, std::uint64_t value) {
+  while (value >= 0x80) {
+    *out++ = static_cast<std::byte>((value & 0x7f) | 0x80);
+    value >>= 7;
+  }
+  *out++ = static_cast<std::byte>(value);
+  return out;
+}
+
 class Packer {
 public:
   /// Owning mode: pack into an internal buffer (allocates as it grows).
@@ -56,9 +67,7 @@ public:
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   void pack(T const& value) {
-    auto const offset = buffer_->size();
-    buffer_->resize(offset + sizeof(T));
-    std::memcpy(buffer_->data() + offset, &value, sizeof(T));
+    std::memcpy(extend(sizeof(T)).data(), &value, sizeof(T));
   }
 
   /// Serialize a vector of trivially copyable elements (u64 length
@@ -67,30 +76,32 @@ public:
     requires std::is_trivially_copyable_v<T>
   void pack(std::vector<T> const& values) {
     pack(static_cast<std::uint64_t>(values.size()));
-    auto const offset = buffer_->size();
-    buffer_->resize(offset + values.size() * sizeof(T));
+    auto const out = extend(values.size() * sizeof(T));
     if (!values.empty()) {
-      std::memcpy(buffer_->data() + offset, values.data(),
-                  values.size() * sizeof(T));
+      std::memcpy(out.data(), values.data(), out.size());
     }
   }
 
   void pack(std::string const& value) {
     pack(static_cast<std::uint64_t>(value.size()));
-    auto const offset = buffer_->size();
-    buffer_->resize(offset + value.size());
+    auto const out = extend(value.size());
     if (!value.empty()) {
-      std::memcpy(buffer_->data() + offset, value.data(), value.size());
+      std::memcpy(out.data(), value.data(), out.size());
     }
   }
 
   /// LEB128 unsigned varint: 7 payload bits per byte, high bit = "more".
   void pack_varint(std::uint64_t value) {
-    while (value >= 0x80) {
-      pack(static_cast<std::uint8_t>((value & 0x7f) | 0x80));
-      value >>= 7;
-    }
-    pack(static_cast<std::uint8_t>(value));
+    put_varint(extend(varint_size(value)).data(), value);
+  }
+
+  /// Grow the buffer by `n` bytes in one step and hand them back to be
+  /// filled. A payload whose size is known up front (Knowledge's wire
+  /// format) pays one resize instead of one per field.
+  [[nodiscard]] std::span<std::byte> extend(std::size_t n) {
+    auto const offset = buffer_->size();
+    buffer_->resize(offset + n);
+    return std::span<std::byte>{*buffer_}.subspan(offset);
   }
 
   [[nodiscard]] std::size_t size() const { return buffer_->size(); }

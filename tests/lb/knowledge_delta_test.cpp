@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "runtime/serialize.hpp"
 #include "support/rng.hpp"
 
@@ -181,6 +186,115 @@ TEST(KnowledgeDelta, UnpackIntoRestampsFromOne) {
   inbox.unpack_into(u);
   EXPECT_EQ(inbox.version_mark(), 2u); // stamped 1..n, counter at n+1
   EXPECT_FALSE(inbox.contains(9));
+}
+
+/// The bytes pack_delta emits for `entries` (rank, load), given in rank
+/// order: varint count, delta-coded varint ids, raw f64 loads.
+std::vector<std::byte> wire(
+    std::initializer_list<std::pair<RankId, LoadType>> entries) {
+  rt::Packer p;
+  p.pack_varint(entries.size());
+  RankId prev = -1;
+  for (auto const& [rank, load] : entries) {
+    p.pack_varint(static_cast<std::uint64_t>(rank - prev - 1));
+    prev = rank;
+  }
+  for (auto const& [rank, load] : entries) {
+    p.pack(load);
+  }
+  return std::move(p).take();
+}
+
+std::vector<std::byte> forward(Knowledge const& k, std::uint32_t hwm) {
+  rt::Packer p;
+  k.pack_delta(p, hwm);
+  return std::move(p).take();
+}
+
+/// Rank, stamp and load of every entry, in the order entries() yields.
+std::vector<std::tuple<RankId, std::uint32_t, LoadType>> stamped(
+    Knowledge const& k) {
+  std::vector<std::tuple<RankId, std::uint32_t, LoadType>> out;
+  for (auto const& e : k.entries()) {
+    out.emplace_back(e.rank, e.version, e.load);
+  }
+  return out;
+}
+
+using Stamped = std::vector<std::tuple<RankId, std::uint32_t, LoadType>>;
+
+TEST(KnowledgeMergeBetweenForwards, NoFreshEntriesLeavesOrderAndStamps) {
+  Knowledge k;
+  k.insert(5, 0.5);
+  k.insert(1, 0.1);
+  k.insert(3, 0.3);
+  EXPECT_EQ(forward(k, 0), wire({{1, 0.1}, {3, 0.3}, {5, 0.5}}));
+  auto const hwm = k.version_mark();
+
+  Knowledge incoming;
+  incoming.insert(5, 9.0);
+  incoming.insert(1, 9.0);
+  k.merge(incoming);
+
+  EXPECT_EQ(k.version_mark(), hwm);
+  EXPECT_EQ(forward(k, hwm), wire({})); // an empty delta
+  EXPECT_EQ(stamped(k), (Stamped{{1, 2, 0.1}, {3, 3, 0.3}, {5, 1, 0.5}}));
+}
+
+TEST(KnowledgeMergeBetweenForwards, AllFreshEntriesAreStampedInRankOrder) {
+  Knowledge k;
+  k.insert(8, 0.8);
+  k.insert(2, 0.2);
+  EXPECT_EQ(forward(k, 0), wire({{2, 0.2}, {8, 0.8}}));
+  auto const hwm = k.version_mark();
+
+  // Two merges land before the next forward; the second payload arrives
+  // with an unsettled tail of its own.
+  Knowledge first;
+  first.insert(9, 0.9);
+  first.insert(5, 0.5);
+  k.merge(first);
+  Knowledge second;
+  second.insert(7, 0.7);
+  second.insert(0, 0.0);
+  k.merge(second);
+
+  EXPECT_EQ(k.version_mark(), hwm + 4);
+  EXPECT_EQ(forward(k, hwm),
+            wire({{0, 0.0}, {5, 0.5}, {7, 0.7}, {9, 0.9}}));
+  EXPECT_EQ(stamped(k), (Stamped{{0, 5, 0.0},
+                                 {2, 2, 0.2},
+                                 {5, 3, 0.5},
+                                 {7, 6, 0.7},
+                                 {8, 1, 0.8},
+                                 {9, 4, 0.9}}));
+}
+
+TEST(KnowledgeMergeBetweenForwards, AddLoadSettlesTheTailMidSequence) {
+  Knowledge k;
+  k.insert(4, 0.4);
+  EXPECT_EQ(forward(k, 0), wire({{4, 0.4}}));
+  auto const hwm = k.version_mark();
+
+  Knowledge first;
+  first.insert(6, 0.25);
+  first.insert(2, 0.2);
+  k.merge(first); // 2 -> stamp 2, 6 -> stamp 3, both in the tail
+  k.add_load(6, 0.5); // settles the tail, restamps 6 -> 4
+  Knowledge second;
+  second.insert(7, 0.7);
+  second.insert(3, 0.3);
+  second.insert(4, 9.0); // known: local load and stamp win
+  k.merge(second); // 3 -> stamp 5, 7 -> stamp 6, a new tail
+
+  EXPECT_EQ(k.version_mark(), hwm + 5);
+  EXPECT_EQ(forward(k, hwm),
+            wire({{2, 0.2}, {3, 0.3}, {6, 0.75}, {7, 0.7}}));
+  EXPECT_EQ(stamped(k), (Stamped{{2, 2, 0.2},
+                                 {3, 5, 0.3},
+                                 {4, 1, 0.4},
+                                 {6, 4, 0.75},
+                                 {7, 6, 0.7}}));
 }
 
 } // namespace
