@@ -32,6 +32,7 @@
 #include "lbaf/gossip_sim.hpp"
 #include "support/assert.hpp"
 #include "lbaf/workload.hpp"
+#include "runtime/serialize.hpp"
 #include "support/config.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -106,10 +107,15 @@ BENCHMARK(BM_GossipEpochVsRounds)->DenseRange(1, 10, 3)
 /// 1000 local entries, 250 incoming of which 50 are new to the receiver
 /// (an E2 delivery averages ~940 local, ~250 incoming, ~48 new). With
 /// range(0) == 1 the timed region also settles the merged tail, the cost
-/// the next sorted reader pays. `per_entry` is seconds per incoming entry
-/// (printed with an SI prefix: 2.5n is 2.5 ns).
+/// the next sorted reader pays. range(1) picks how the payload arrives:
+/// 0 merges an in-memory Knowledge, 1 merges the packed bytes with
+/// merge_packed (the inform plane's receive path), 2 unpacks the bytes
+/// into a reused inbox and merges that (the receive path merge_packed
+/// replaced). `per_entry` is seconds per incoming entry (printed with an
+/// SI prefix: 2.5n is 2.5 ns).
 void BM_KnowledgeMerge(benchmark::State& state) {
   bool const settle = state.range(0) != 0;
+  auto const wire = state.range(1);
   RankId const p = 4096;
   std::size_t const local_n = 1000;
   std::size_t const incoming_n = 250;
@@ -123,7 +129,6 @@ void BM_KnowledgeMerge(benchmark::State& state) {
   // ids[0, local_n) are known locally; the message repeats the first
   // incoming_n - fresh_n of them and brings fresh_n unknown ranks.
   lb::Knowledge base;
-  base.reserve(static_cast<std::size_t>(p));
   for (std::size_t i = 0; i < local_n; ++i) {
     base.insert(ids[i], rng.uniform(0.0, 1.0));
   }
@@ -136,12 +141,26 @@ void BM_KnowledgeMerge(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(base.entries().data());
   benchmark::DoNotOptimize(incoming.entries().data());
+  rt::Packer packer;
+  incoming.pack_full(packer);
+  auto const bytes = std::move(packer).take();
+  lb::Knowledge inbox = incoming; // unpack_into reuses its capacity
   lb::Knowledge work = base;
   for (auto _ : state) {
     state.PauseTiming();
     work = base; // copy-assignment reuses work's capacity
     state.ResumeTiming();
-    work.merge(incoming);
+    if (wire == 0) {
+      work.merge(incoming);
+    } else {
+      rt::Unpacker unpacker{bytes};
+      if (wire == 1) {
+        work.merge_packed(unpacker, p);
+      } else {
+        inbox.unpack_into(unpacker);
+        work.merge(inbox);
+      }
+    }
     if (settle) {
       benchmark::DoNotOptimize(work.entries().data());
     }
@@ -153,7 +172,9 @@ void BM_KnowledgeMerge(benchmark::State& state) {
           static_cast<double>(incoming_n),
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_KnowledgeMerge)->ArgName("settle")->Arg(0)->Arg(1);
+BENCHMARK(BM_KnowledgeMerge)
+    ->ArgNames({"settle", "wire"})
+    ->ArgsProduct({{0, 1}, {0, 1, 2}});
 
 // --- M8 comparison mode -------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstring>
 #include <limits>
 
@@ -27,14 +28,6 @@ bool by_rank(KnownRank const& a, KnownRank const& b) {
 void Knowledge::cover(RankId rank) {
   TLB_EXPECTS(rank >= 0);
   auto const words = (static_cast<std::size_t>(rank) >> 6) + 1;
-  if (bits_.size() < words) {
-    bits_.resize(words, 0);
-  }
-}
-
-void Knowledge::reserve(std::size_t n) {
-  entries_.reserve(n);
-  auto const words = (n + 63) / 64;
   if (bits_.size() < words) {
     bits_.resize(words, 0);
   }
@@ -98,18 +91,57 @@ void Knowledge::merge(Knowledge const& other) {
   cover(incoming.back().rank);
   auto const old_size = entries_.size();
   for (auto const& e : incoming) {
-    auto& word = bits_[static_cast<std::size_t>(e.rank) >> 6];
-    auto const bit = std::uint64_t{1} << (static_cast<unsigned>(e.rank) & 63);
-    if ((word & bit) == 0) {
-      word |= bit;
+    if (learn(e.rank)) {
       entries_.push_back(KnownRank{e.rank, next_version_++, e.load});
     }
   }
+  extend_sorted(old_size);
+}
+
+void Knowledge::extend_sorted(std::size_t old_size) {
   if (sorted_ == old_size && entries_.size() > old_size &&
       (old_size == 0 ||
        entries_[old_size - 1].rank < entries_[old_size].rank)) {
     sorted_ = entries_.size(); // the fresh run extends the sorted prefix
   }
+}
+
+void Knowledge::merge_packed(rt::Unpacker& unpacker, RankId num_ranks) {
+  TLB_EXPECTS(num_ranks > 0);
+  auto const n = unpacker.unpack_varint();
+  // The id block is n varints, each ending at a byte with the high bit
+  // clear (and each at least one byte, which bounds n); the load block
+  // follows it. Split the two so id i and load i are read side by side.
+  auto const rest = unpacker.remaining();
+  TLB_EXPECTS(n <= rest.size());
+  std::size_t id_len = 0;
+  for (std::uint64_t ends = 0; ends < n; ++id_len) {
+    TLB_EXPECTS(id_len < rest.size());
+    ends += (std::to_integer<unsigned>(rest[id_len]) & 0x80u) == 0 ? 1u : 0u;
+  }
+  rt::Unpacker ids{unpacker.take(id_len)};
+  auto const* load = unpacker.take(n * sizeof(LoadType)).data();
+  auto const old_size = entries_.size();
+  // Ids strictly increase, so the fresh ones are appended, and stamped,
+  // in ascending rank order, as merge() does.
+  std::uint64_t next = 0; // the smallest id the next gap can name
+  for (std::uint64_t i = 0; i < n; ++i, load += sizeof(LoadType)) {
+    auto const gap = ids.unpack_varint();
+    TLB_EXPECTS(gap < static_cast<std::uint64_t>(num_ranks) - next);
+    auto const rank = static_cast<RankId>(next + gap);
+    next += gap + 1;
+    // cover(), inlined: this loop runs once per id of every delivery.
+    auto const word = static_cast<std::size_t>(rank) >> 6;
+    if (word >= bits_.size()) {
+      bits_.resize(word + 1, 0);
+    }
+    if (learn(rank)) {
+      LoadType value;
+      std::memcpy(&value, load, sizeof(LoadType));
+      entries_.push_back(KnownRank{rank, next_version_++, value});
+    }
+  }
+  extend_sorted(old_size);
 }
 
 void Knowledge::settle() const {
@@ -301,29 +333,8 @@ Knowledge Knowledge::unpack(rt::Unpacker& unpacker) {
 }
 
 void Knowledge::unpack_into(rt::Unpacker& unpacker) {
-  auto const n = static_cast<std::size_t>(unpacker.unpack_varint());
-  reset_bits();
-  entries_.clear();
-  entries_.resize(n);
-  std::int64_t prev = -1;
-  for (std::size_t i = 0; i < n; ++i) {
-    auto const gap = unpacker.unpack_varint();
-    // Delta decoding reconstructs a strictly increasing sequence by
-    // construction, so the sorted invariant holds without re-validation;
-    // only overflow of the id space needs rejecting.
-    auto const rank = static_cast<std::uint64_t>(prev + 1) + gap;
-    TLB_EXPECTS(rank <= static_cast<std::uint64_t>(
-                            std::numeric_limits<RankId>::max()));
-    entries_[i].rank = static_cast<RankId>(rank);
-    entries_[i].version = static_cast<std::uint32_t>(i) + 1;
-    prev = entries_[i].rank;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    entries_[i].load = unpacker.unpack<LoadType>();
-  }
-  index_sorted();
-  next_version_ = static_cast<std::uint32_t>(n) + 1;
-  truncated_ = false;
+  clear();
+  merge_packed(unpacker, std::numeric_limits<RankId>::max());
 }
 
 } // namespace tlb::lb

@@ -13,7 +13,9 @@
 /// as an unsorted tail behind the sorted prefix. The first reader that
 /// needs sorted order (entries(), load_of, add_load, an overwriting
 /// insert, the pack/delta/wire-size functions, truncation) settles the
-/// tail with one in-place permutation pass; see settle().
+/// tail with one in-place permutation pass; see settle(). A packed
+/// payload merges straight from its bytes (merge_packed), with no
+/// intermediate Knowledge.
 ///
 /// Entries carry an owner-local, monotone *version stamp*: every insert,
 /// overwrite, load update, or merge-in of a previously unknown rank
@@ -91,8 +93,16 @@ public:
   /// than gossiped initial loads. Newly learned entries are stamped in
   /// ascending rank order and appended to the unsorted tail, so a merge
   /// costs O(|other|) whatever the local size. Allocation-free once the
-  /// entry capacity and the bitmap suffice (see reserve()).
+  /// entry capacity and the bitmap suffice.
   void merge(Knowledge const& other);
+
+  /// merge() of a packed payload (pack_full/pack_delta bytes), decoded
+  /// and merged in one pass: one bit test per id, fresh entries stamped
+  /// in ascending rank order exactly as merge() stamps them, no
+  /// intermediate Knowledge. Every id must be below `num_ranks`
+  /// (precondition), so a corrupt payload cannot grow the bitmap past
+  /// the rank space.
+  void merge_packed(rt::Unpacker& unpacker, RankId num_ranks);
 
   /// Add `delta` to a known rank's load. Precondition: rank is known.
   /// Stamps the entry (its value changed).
@@ -108,6 +118,8 @@ public:
   [[nodiscard]] LoadType load_of(RankId rank) const;
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  /// Entries the knowledge can hold before it next allocates.
+  [[nodiscard]] std::size_t capacity() const { return entries_.capacity(); }
   [[nodiscard]] bool empty() const { return entries_.empty(); }
   /// Every entry, strictly sorted by rank. Settles the tail.
   [[nodiscard]] std::span<KnownRank const> entries() const {
@@ -162,19 +174,14 @@ public:
   /// model delta payloads; the runtime protocol packs straight to bytes.
   [[nodiscard]] Knowledge delta_copy(std::uint32_t since) const;
 
-  /// Pre-grow the entry vector to hold `n` entries and the membership
-  /// bitmap to cover rank ids below `n`, without reallocating later. The
-  /// inform plane reserves to P so steady-state merges, unpacks and
-  /// settles never touch the allocator.
-  void reserve(std::size_t n);
-
   // --- Wire format ---
 
   /// An upper bound on the bytes any packed payload of up to `n` entries
   /// can occupy: a 5-byte count varint plus, per entry, a 5-byte id gap
   /// and a raw f64 load. Deliberately loose (real gap varints are almost
-  /// always one byte) — its job is to let buffer pools reserve once and
-  /// never grow, not to model traffic; wire_bytes() stays the accountant.
+  /// always one byte) — its job is to let a buffer sized for a knowledge
+  /// of capacity `n` hold any payload packed from it, not to model
+  /// traffic; wire_bytes() stays the accountant.
   [[nodiscard]] static constexpr std::size_t wire_capacity_bound(
       std::size_t n) {
     return 5 + n * (5 + sizeof(double));
@@ -207,11 +214,24 @@ public:
   [[nodiscard]] static Knowledge unpack(rt::Unpacker& unpacker);
 
   /// Deserialize into *this*, replacing its contents but reusing its
-  /// capacity — the allocation-free receive path for a per-rank inbox
-  /// scratch.
+  /// capacity: clear(), then merge_packed with ids bounded only by
+  /// RankId's range.
   void unpack_into(rt::Unpacker& unpacker);
 
 private:
+  /// Test-and-set rank's bit (its word must exist): true when the rank
+  /// was unknown.
+  bool learn(RankId rank) {
+    auto& word = bits_[static_cast<std::size_t>(rank) >> 6];
+    auto const bit = std::uint64_t{1} << (static_cast<unsigned>(rank) & 63);
+    bool const fresh = (word & bit) == 0;
+    word |= bit;
+    return fresh;
+  }
+  /// After a merge appended entries from `old_size` on in ascending rank
+  /// order: extend the sorted prefix over them when nothing breaks it.
+  void extend_sorted(std::size_t old_size);
+
   void pack_since(rt::Packer& packer, std::uint32_t since) const;
   [[nodiscard]] std::size_t encoded_bytes(std::uint32_t since) const;
 

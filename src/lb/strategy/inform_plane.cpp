@@ -18,33 +18,33 @@ InformPlane::InformPlane(RankId num_ranks, std::uint64_t root_seed,
       max_knowledge_{max_knowledge},
       report_{report} {
   Rng const gossip_root = Rng{root_seed}.split(kGossipStreamTag);
-  // Steady-state inform rounds must not allocate, so every capacity is
-  // grown to its bound up front: knowledge and inbox to P entries (the
-  // most any rank can ever learn) and their membership bitmaps to P bits,
-  // the snapshot pool to one slot per forwarding event (a rank forwards
-  // at most once per round — the `forwarded` bitmask — and a slot is
-  // recycled once its f messages drain) with each buffer at the
-  // wire-format ceiling plus the round/flag header.
-  // ~P*(rounds*13 + 32.25) bytes per rank, transient per balance().
-  auto const pool_depth = static_cast<std::size_t>(std::max(rounds, 1));
-  auto const pool_capacity =
-      Knowledge::wire_capacity_bound(static_cast<std::size_t>(num_ranks)) +
-      kHeaderBound;
+  // Knowledge, its bitmap and the snapshot pool grow by use (see
+  // reset_epoch), so a rank costs the same few hundred bytes here
+  // whatever P is; only the peer list has a P-independent bound to
+  // reserve.
   for (RankId r = 0; r < num_ranks; ++r) {
     auto& slot = slots_[static_cast<std::size_t>(r)];
     slot.rng = gossip_root.split(static_cast<std::uint64_t>(r));
-    slot.knowledge.reserve(static_cast<std::size_t>(num_ranks));
-    slot.inbox.reserve(static_cast<std::size_t>(num_ranks));
     slot.peers.reserve(static_cast<std::size_t>(
         std::min<RankId>(static_cast<RankId>(fanout), num_ranks)));
-    slot.pool.prime(pool_depth, pool_capacity);
   }
 }
 
 void InformPlane::reset_epoch() {
   auto const p = static_cast<RankId>(slots_.size());
+  // One pool slot per forwarding event (a rank forwards at most once per
+  // round — the `forwarded` bitmask — and a slot is recycled once its f
+  // messages drain).
+  auto const pool_depth = static_cast<std::size_t>(std::max(rounds_, 1));
   for (RankId r = 0; r < p; ++r) {
     Slot& slot = slots_[static_cast<std::size_t>(r)];
+    // No payload outgrows its sender's knowledge, so buffers that fit the
+    // capacity the knowledge has grown to keep an epoch that fits it
+    // free of allocation. prime() skips a slot still leased by a message
+    // of an epoch whose quiescence timed out.
+    slot.pool.prime(pool_depth,
+                    kHeaderBound + Knowledge::wire_capacity_bound(
+                                       slot.knowledge.capacity()));
     slot.knowledge.clear();
     slot.forwarded = 0;
     slot.hwm = 0;
@@ -80,8 +80,8 @@ void InformPlane::forward(rt::RankContext& ctx, int next_round) {
   auto& slot = slots_[static_cast<std::size_t>(ctx.rank())];
   // Serialize once per forwarding event; the f messages share one pooled
   // byte buffer (they carry identical wire data), which also bounds peak
-  // memory when the lists approach O(P). Receivers deserialize, proving
-  // the protocol serialization-clean.
+  // memory when the lists approach O(P). Receivers merge straight from
+  // the bytes, proving the protocol serialization-clean.
   bool const truncated = slot.knowledge.take_truncated();
   bool const full =
       wire_ == GossipWire::full || slot.need_full || truncated;
@@ -118,9 +118,8 @@ void InformPlane::receive(rt::RankContext& ctx,
   rt::Unpacker unpacker{snap->bytes};
   auto const round = static_cast<int>(unpacker.unpack_varint());
   bool const full = unpacker.unpack<std::uint8_t>() != 0;
-  slot.inbox.unpack_into(unpacker);
+  slot.knowledge.merge_packed(unpacker, static_cast<RankId>(slots_.size()));
   TLB_ASSERT(unpacker.exhausted());
-  slot.knowledge.merge(slot.inbox);
   slot.knowledge.truncate_random(max_knowledge_, slot.rng);
   if (report_ != nullptr) {
     report_->on_gossip_message(round, bytes, slot.knowledge.size(), full);

@@ -27,11 +27,15 @@
 ///    the documented exception). The overlay also keeps routing
 ///    knowledge-independent and the transfer/CMF stream untouched.
 ///
-/// 3. *Zero steady-state allocation.* Payloads are serialized into
-///    pooled, refcount-recycled buffers (rt::SnapshotPool) by a
-///    scratch-mode Packer; receives deserialize into a per-rank inbox
-///    scratch and merge in place. After warm-up, inform epochs perform no
-///    heap allocations (pinned by the allocation-counter test).
+/// 3. *Capacities grown by use; zero steady-state allocation.* Payloads
+///    are serialized into pooled, refcount-recycled buffers
+///    (rt::SnapshotPool) by a scratch-mode Packer; receives merge straight
+///    from the bytes (Knowledge::merge_packed), with no inbox. Nothing is
+///    sized to P up front: knowledge and its bitmap grow as entries
+///    arrive, and reset_epoch re-primes each rank's pool to fit the
+///    capacity its knowledge has reached. After warm-up, inform epochs
+///    perform no heap allocations (pinned by the allocation-counter test,
+///    which also pins construction bytes per rank independent of P).
 ///
 /// Thread-confinement (PR 7 discipline): each Slot is mutated only by
 /// handlers executing on its own rank, so no slot field needs locking or
@@ -70,8 +74,10 @@ public:
               obs::LbReportBuilder* report);
 
   /// Driver-side, at a quiescent point: wipe per-rank knowledge and
-  /// forwarding state for the next inform epoch. Capacities (entry
-  /// vectors, snapshot buffers) survive, so epochs after the first do not
+  /// forwarding state for the next inform epoch, and grow each rank's
+  /// snapshot buffers to fit its knowledge's capacity. Capacities (entry
+  /// vectors, bitmaps, snapshot buffers) survive, so an epoch whose
+  /// knowledge fits the capacity earlier epochs reached does not
   /// allocate. RNG streams deliberately run on across epochs, matching
   /// how the per-rank runtime streams behave.
   void reset_epoch();
@@ -89,15 +95,17 @@ public:
 private:
   /// Worst-case bytes the plane prepends to a packed knowledge payload:
   /// a round-number varint (10 bytes covers any u64) plus the full/delta
-  /// flag byte. Used to size pooled buffers so packing never reallocates.
+  /// flag byte. Used to size pooled buffers so packing within the
+  /// knowledge's capacity never reallocates.
   static constexpr std::size_t kHeaderBound = 11;
 
-  /// Per-rank protocol state; mutated only by handlers on its own rank.
+  /// Per-rank protocol state; mutated only by handlers on its own rank
+  /// (and by reset_epoch, at a quiescent point).
   struct Slot {
+    /// S^p and LOAD^p(); receives merge payloads into it from the wire.
     Knowledge knowledge;
-    /// Deserialization scratch: receives unpack here, then merge.
-    Knowledge inbox;
-    /// Serialized-payload pool for this rank's forwarding events.
+    /// Serialized-payload pool for this rank's forwarding events, one
+    /// slot per round, re-primed at reset_epoch to fit the knowledge.
     rt::SnapshotPool pool;
     /// Dedicated gossip RNG (see file comment, property 2).
     Rng rng;

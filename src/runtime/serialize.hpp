@@ -174,6 +174,21 @@ public:
     return value;
   }
 
+  /// Consume the next `n` bytes and hand them back (bounds-checked): a
+  /// decoder that walks two blocks of a payload side by side reads them
+  /// through their own spans.
+  [[nodiscard]] std::span<std::byte const> take(std::size_t n) {
+    TLB_EXPECTS(n <= bytes_.size() - offset_);
+    auto const out = bytes_.subspan(offset_, n);
+    offset_ += n;
+    return out;
+  }
+
+  /// The bytes not consumed yet.
+  [[nodiscard]] std::span<std::byte const> remaining() const {
+    return bytes_.subspan(offset_);
+  }
+
   /// Bytes consumed so far.
   [[nodiscard]] std::size_t consumed() const { return offset_; }
   /// True when every byte has been consumed (a useful postcondition).
@@ -244,17 +259,21 @@ public:
     Slot* slot_ = nullptr;
   };
 
-  /// Pre-create `depth` slots, each with `capacity` bytes reserved. A
-  /// depth at or above the peak number of concurrently in-flight payloads
-  /// and a capacity at or above the largest payload make every subsequent
-  /// acquire() allocation-free (the zero-allocation contract the inform
-  /// plane pins with its counter test).
+  /// Pre-create `depth` slots and grow each free slot to `capacity`
+  /// bytes. A depth at or above the peak number of concurrently in-flight
+  /// payloads and a capacity at or above the largest payload make every
+  /// subsequent acquire() allocation-free (the zero-allocation contract
+  /// the inform plane pins with its counter test). May be called again to
+  /// grow the pool; a slot some message still leases is left alone, since
+  /// a reader on another worker may be reading its bytes.
   void prime(std::size_t depth, std::size_t capacity) {
     while (slots_.size() < depth) {
       slots_.push_back(Lease{new Slot});
     }
     for (auto& slot : slots_) {
-      slot->bytes.reserve(capacity);
+      if (slot->leases.load(std::memory_order_acquire) == 1) {
+        slot->bytes.reserve(capacity);
+      }
     }
   }
 

@@ -1,8 +1,11 @@
 /// \file gossip_alloc_test.cpp
-/// Pins the inform plane's zero-allocation property: after a warm-up
-/// epoch has grown every capacity (knowledge vectors, snapshot-pool
-/// buffers, inbox scratch, overlay peer lists, runtime mailboxes),
-/// steady-state inform rounds must perform zero heap allocations.
+/// Pins the inform plane's memory contract. Capacities grow by use:
+/// warm-up epochs grow the knowledge vectors and bitmaps, the overlay
+/// peer lists and the runtime mailboxes, and reset_epoch re-primes the
+/// snapshot-pool buffers to fit the knowledge; after that, steady-state
+/// inform rounds must perform zero heap allocations. Nothing is sized to
+/// P up front: the bytes a plane allocates at construction, per rank,
+/// must not grow with P.
 ///
 /// The counter is a global operator new/delete override, which is why
 /// this test lives in its own binary: the override is process-wide and
@@ -21,13 +24,18 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 std::atomic<bool> g_counting{false};
 
 } // namespace
 
-void* operator new(std::size_t size) {
+// Out of line, like the deletes below: once GCC inlines this into a caller
+// it sees the std::malloc and warns (-Wmismatched-new-delete) at the
+// matching delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
   }
   if (void* p = std::malloc(size)) {
     return p;
@@ -35,7 +43,9 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc{};
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
 
 // Out of line, so GCC cannot inline a delete into its caller and then warn
 // (-Wmismatched-new-delete) that std::free releases memory from new.
@@ -139,6 +149,33 @@ TEST(GossipAllocTest, FullWireAlsoRunsAllocationFree) {
   run_epoch();
   g_counting.store(false);
   EXPECT_EQ(g_allocations.load(), 0u);
+}
+
+/// Bytes requested from operator new while constructing a P-rank plane.
+std::uint64_t construction_bytes(RankId p) {
+  g_bytes.store(0);
+  g_counting.store(true);
+  auto plane = std::make_shared<InformPlane>(
+      p, /*root_seed=*/11, GossipWire::delta, /*fanout=*/6, /*rounds=*/10,
+      /*max_knowledge=*/0, /*report=*/nullptr);
+  g_counting.store(false);
+  return g_bytes.load();
+}
+
+TEST(GossipAllocTest, ConstructionBytesPerRankDoNotGrowWithRanks) {
+  // A rank's knowledge averages a few dozen entries at P = 1024, so a
+  // plane that reserves per rank in proportion to P (knowledge, receive
+  // scratch, pool buffers at the P-entry wire bound) pays O(P^2) bytes
+  // for a few hot bytes per rank. Construction may only cost a per-rank
+  // constant: the slot itself and its f-entry peer list.
+  auto const small = construction_bytes(256);
+  auto const large = construction_bytes(1024);
+  double const small_per_rank = static_cast<double>(small) / 256.0;
+  double const large_per_rank = static_cast<double>(large) / 1024.0;
+  EXPECT_LE(large_per_rank, small_per_rank)
+      << small << " bytes at P = 256, " << large << " at P = 1024";
+  EXPECT_LT(large_per_rank, 1024.0)
+      << "a rank's share of the plane should be a few hundred bytes";
 }
 
 } // namespace

@@ -297,5 +297,35 @@ TEST(KnowledgeMergeBetweenForwards, AddLoadSettlesTheTailMidSequence) {
                                  {7, 6, 0.7}}));
 }
 
+TEST(KnowledgeMergeBetweenForwards, WireMergesStampFreshRanksInRankOrder) {
+  Knowledge k;
+  k.insert(6, 0.6);
+  k.insert(2, 0.2);
+  EXPECT_EQ(forward(k, 0), wire({{2, 0.2}, {6, 0.6}}));
+  auto const hwm = k.version_mark();
+
+  // Two payloads merged straight from the bytes before the next forward;
+  // known ranks keep their local load and stamp, and the fresh ones pile
+  // up as a tail across both merges.
+  auto const first = wire({{1, 0.1}, {2, 9.0}, {6, 9.0}, {9, 0.9}});
+  rt::Unpacker u1{first};
+  k.merge_packed(u1, 10);
+  EXPECT_TRUE(u1.exhausted());
+  auto const second = wire({{0, 0.0}, {1, 9.0}, {4, 0.4}, {9, 9.0}});
+  rt::Unpacker u2{second};
+  k.merge_packed(u2, 10);
+  EXPECT_TRUE(u2.exhausted());
+
+  EXPECT_EQ(k.version_mark(), hwm + 4);
+  EXPECT_EQ(forward(k, hwm),
+            wire({{0, 0.0}, {1, 0.1}, {4, 0.4}, {9, 0.9}}));
+  EXPECT_EQ(stamped(k), (Stamped{{0, 5, 0.0},
+                                 {1, 3, 0.1},
+                                 {2, 2, 0.2},
+                                 {4, 6, 0.4},
+                                 {6, 1, 0.6},
+                                 {9, 4, 0.9}}));
+}
+
 } // namespace
 } // namespace tlb::lb

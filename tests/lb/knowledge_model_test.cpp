@@ -8,6 +8,8 @@
 /// version mark and pack to the same bytes. The per-step comparison runs
 /// on a copy, so the knowledge under test keeps its unsettled tail across
 /// steps and several merges can pile up before a reader settles them.
+/// Wire merges (Knowledge::merge_packed, decoding and merging in one
+/// pass) are checked against the model's unpack followed by merge.
 
 #include "lb/knowledge.hpp"
 
@@ -258,7 +260,7 @@ TEST_P(KnowledgeModel, RandomSequencesMatchTheSortedVectorModel) {
     SortedKnowledge model_inbox;
     for (int step = 0; step < 120; ++step) {
       SCOPED_TRACE(::testing::Message() << "step " << step);
-      auto const op = rng.index(20);
+      auto const op = rng.index(22);
       bool const known = !model.entries().empty();
       if (op < 5) {
         auto const rank = static_cast<RankId>(
@@ -327,6 +329,27 @@ TEST_P(KnowledgeModel, RandomSequencesMatchTheSortedVectorModel) {
       } else if (op == 18 && rng.index(4) == 0) {
         real.clear();
         model.clear();
+      } else if (op >= 20) {
+        // A delivery merged straight from the wire: a peer's payload
+        // (known and fresh ranks mixed) or an echo of our own delta.
+        std::vector<std::byte> bytes;
+        if (op == 20) {
+          Knowledge incoming;
+          SortedKnowledge model_incoming;
+          fill_random(incoming, model_incoming, rng, rank_space);
+          bytes = packed(incoming, 0);
+        } else {
+          bytes = packed(model,
+                         static_cast<std::uint32_t>(rng.index(
+                             static_cast<std::size_t>(model.version_mark()) +
+                             1)));
+        }
+        rt::Unpacker u{bytes};
+        real.merge_packed(u, rank_space + 200);
+        ASSERT_TRUE(u.exhausted());
+        rt::Unpacker mu{bytes};
+        model_inbox.unpack_into(mu);
+        model.merge(model_inbox);
       } else if (op == 19) {
         // Merging oneself learns nothing, tail or no tail.
         real.merge(real);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
+#include "runtime/serialize.hpp"
+
 namespace tlb::lb {
 namespace {
 
@@ -121,6 +126,42 @@ TEST(KnowledgeDeath, LoadOfUnknownRankAborts) {
 TEST(KnowledgeDeath, AddLoadUnknownRankAborts) {
   Knowledge k;
   EXPECT_DEATH(k.add_load(0, 1.0), "precondition");
+}
+
+TEST(KnowledgeDeath, MergePackedRejectsIdsAtOrAboveTheRankCount) {
+  Knowledge sender;
+  sender.insert(3, 1.0);
+  sender.insert(8, 2.0);
+  rt::Packer p;
+  sender.pack_full(p);
+  Knowledge k;
+  {
+    rt::Unpacker u{p.bytes()};
+    k.merge_packed(u, 9); // id 8 is the last of 9 ranks: accepted
+    EXPECT_TRUE(u.exhausted());
+  }
+  EXPECT_EQ(k.size(), 2u);
+  rt::Unpacker u{p.bytes()};
+  EXPECT_DEATH(k.merge_packed(u, 8), "precondition");
+
+  // An id at RankId's maximum would otherwise grow a 256 MB bitmap.
+  rt::Packer far;
+  far.pack_varint(1);
+  far.pack_varint(static_cast<std::uint64_t>(
+      std::numeric_limits<RankId>::max()));
+  far.pack(1.0);
+  rt::Unpacker fu{far.bytes()};
+  Knowledge fresh;
+  EXPECT_DEATH(fresh.merge_packed(fu, 1024), "precondition");
+}
+
+TEST(KnowledgeDeath, MergePackedRejectsATruncatedPayload) {
+  rt::Packer p;
+  p.pack_varint(3); // three entries announced, one id and no loads sent
+  p.pack_varint(0);
+  rt::Unpacker u{p.bytes()};
+  Knowledge k;
+  EXPECT_DEATH(k.merge_packed(u, 16), "precondition");
 }
 
 } // namespace
