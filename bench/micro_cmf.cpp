@@ -7,6 +7,7 @@
 
 #include "lb/cmf.hpp"
 #include "lb/incremental_cmf.hpp"
+#include "runtime/serialize.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -92,16 +93,20 @@ BENCHMARK(BM_CmfIncrementalUpdate)->Arg(16)->Arg(256)->Arg(4096);
 void BM_KnowledgeMerge(benchmark::State& state) {
   auto const n = static_cast<std::size_t>(state.range(0));
   auto const a = make_knowledge(n, 1);
-  // Interleaved rank ids force a full merge.
+  // Interleaved rank ids force a full merge; b arrives packed, as it
+  // would on the wire.
   Knowledge b;
   Rng rng{2};
   for (std::size_t i = 0; i < n; ++i) {
     b.insert(static_cast<RankId>(2 * i), rng.uniform(0.0, 1.0));
   }
+  rt::Packer packer;
+  b.pack_full(packer);
   for (auto _ : state) {
     Knowledge merged = a;
-    merged.merge(b);
-    benchmark::DoNotOptimize(merged);
+    rt::Unpacker unpacker{packer.bytes()};
+    merged.merge_packed(unpacker, static_cast<RankId>(2 * n + 1));
+    benchmark::DoNotOptimize(merged.entries().data());
   }
 }
 BENCHMARK(BM_KnowledgeMerge)->Arg(16)->Arg(256)->Arg(4096);

@@ -103,19 +103,15 @@ void BM_GossipEpochVsRounds(benchmark::State& state) {
 BENCHMARK(BM_GossipEpochVsRounds)->DenseRange(1, 10, 3)
     ->Unit(benchmark::kMillisecond);
 
-/// One delivery's Knowledge::merge at the lbaf-e2 scale: P = 4096 ranks,
-/// 1000 local entries, 250 incoming of which 50 are new to the receiver
-/// (an E2 delivery averages ~940 local, ~250 incoming, ~48 new). With
-/// range(0) == 1 the timed region also settles the merged tail, the cost
-/// the next sorted reader pays. range(1) picks how the payload arrives:
-/// 0 merges an in-memory Knowledge, 1 merges the packed bytes with
-/// merge_packed (the inform plane's receive path), 2 unpacks the bytes
-/// into a reused inbox and merges that (the receive path merge_packed
-/// replaced). `per_entry` is seconds per incoming entry (printed with an
-/// SI prefix: 2.5n is 2.5 ns).
+/// One delivery's Knowledge::merge_packed at the lbaf-e2 scale: P = 4096
+/// ranks, 1000 local entries, 250 incoming of which 50 are new to the
+/// receiver (an E2 delivery averages ~940 local, ~250 incoming, ~48 new).
+/// The payload arrives as packed bytes, as on the wire of both inform
+/// drivers. With range(0) == 1 the timed region also settles the merged
+/// tail, the cost the next sorted reader pays. `per_entry` is seconds per
+/// incoming entry (printed with an SI prefix: 2.5n is 2.5 ns).
 void BM_KnowledgeMerge(benchmark::State& state) {
   bool const settle = state.range(0) != 0;
-  auto const wire = state.range(1);
   RankId const p = 4096;
   std::size_t const local_n = 1000;
   std::size_t const incoming_n = 250;
@@ -144,23 +140,13 @@ void BM_KnowledgeMerge(benchmark::State& state) {
   rt::Packer packer;
   incoming.pack_full(packer);
   auto const bytes = std::move(packer).take();
-  lb::Knowledge inbox = incoming; // unpack_into reuses its capacity
   lb::Knowledge work = base;
   for (auto _ : state) {
     state.PauseTiming();
     work = base; // copy-assignment reuses work's capacity
     state.ResumeTiming();
-    if (wire == 0) {
-      work.merge(incoming);
-    } else {
-      rt::Unpacker unpacker{bytes};
-      if (wire == 1) {
-        work.merge_packed(unpacker, p);
-      } else {
-        inbox.unpack_into(unpacker);
-        work.merge(inbox);
-      }
-    }
+    rt::Unpacker unpacker{bytes};
+    work.merge_packed(unpacker, p);
     if (settle) {
       benchmark::DoNotOptimize(work.entries().data());
     }
@@ -172,9 +158,41 @@ void BM_KnowledgeMerge(benchmark::State& state) {
           static_cast<double>(incoming_n),
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_KnowledgeMerge)
-    ->ArgNames({"settle", "wire"})
-    ->ArgsProduct({{0, 1}, {0, 1, 2}});
+BENCHMARK(BM_KnowledgeMerge)->ArgName("settle")->Arg(0)->Arg(1);
+
+/// One forward's pack at the lbaf-e2 scale: a settled 1000-entry knowledge
+/// over P = 4096 ranks packed whole (range(0) == 0, pack_full) or as the
+/// delta of its 50 newest entries (range(0) == 1, pack_delta), into a
+/// buffer that already has the capacity, as a pooled snapshot does.
+/// `per_entry` is seconds per entry of the knowledge.
+void BM_KnowledgePack(benchmark::State& state) {
+  bool const delta = state.range(0) != 0;
+  std::size_t const local_n = 1000;
+  Rng rng{7};
+  std::vector<RankId> ids(4096);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = static_cast<RankId>(i);
+  }
+  rng.shuffle(std::span<RankId>{ids});
+  lb::Knowledge k;
+  for (std::size_t i = 0; i < local_n; ++i) {
+    k.insert(ids[i], rng.uniform(0.0, 1.0));
+  }
+  benchmark::DoNotOptimize(k.entries().data());
+  auto const since = delta ? k.version_mark() - 50 : 0u;
+  std::vector<std::byte> buffer;
+  buffer.reserve(lb::Knowledge::wire_capacity_bound(local_n));
+  for (auto _ : state) {
+    rt::Packer packer{buffer};
+    k.pack_delta(packer, since);
+    benchmark::DoNotOptimize(buffer.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_entry"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(local_n),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_KnowledgePack)->ArgName("delta")->Arg(0)->Arg(1);
 
 // --- M8 comparison mode -------------------------------------------------
 

@@ -12,9 +12,9 @@
 /// at one bit test per incoming entry, and fresh entries are appended
 /// as an unsorted tail behind the sorted prefix. The first reader that
 /// needs sorted order (entries(), load_of, add_load, an overwriting
-/// insert, the pack/delta/wire-size functions, truncation) settles the
-/// tail with one in-place permutation pass; see settle(). A packed
-/// payload merges straight from its bytes (merge_packed), with no
+/// insert, packing, truncation) settles the tail with one in-place
+/// permutation pass; see settle(). Knowledge travels only as bytes: a
+/// packed payload merges straight from the wire (merge_packed), with no
 /// intermediate Knowledge.
 ///
 /// Entries carry an owner-local, monotone *version stamp*: every insert,
@@ -34,9 +34,8 @@
 ///                                  increase, so the -1 tightens density)
 ///   n x f64                        raw little-endian loads, same order
 ///
-/// wire_bytes()/wire_bytes_delta() are computed by the same per-entry
-/// size arithmetic pack() emits, asserted equal at pack time, so the
-/// modeled traffic can never drift from the serialized truth.
+/// The packed size is the byte accounting: a message's modeled traffic is
+/// the size of the buffer it ships, so the two cannot drift apart.
 
 #include <cstdint>
 #include <span>
@@ -87,19 +86,15 @@ public:
   /// Precondition: rank >= 0.
   void insert(RankId rank, LoadType load);
 
-  /// Merge another rank's knowledge. Existing entries keep the *incoming*
-  /// load only when we did not already know the rank: a rank's own local
+  /// Merge another rank's packed knowledge (pack_full/pack_delta bytes),
+  /// decoded and merged in one pass. An entry takes the *incoming* load
+  /// only when we did not already know the rank: a rank's own local
   /// updates (speculative transfers it directed at the peer) are fresher
   /// than gossiped initial loads. Newly learned entries are stamped in
   /// ascending rank order and appended to the unsorted tail, so a merge
-  /// costs O(|other|) whatever the local size. Allocation-free once the
-  /// entry capacity and the bitmap suffice.
-  void merge(Knowledge const& other);
-
-  /// merge() of a packed payload (pack_full/pack_delta bytes), decoded
-  /// and merged in one pass: one bit test per id, fresh entries stamped
-  /// in ascending rank order exactly as merge() stamps them, no
-  /// intermediate Knowledge. Every id must be below `num_ranks`
+  /// costs O(payload) whatever the local size: one bit test per id, no
+  /// intermediate Knowledge. Allocation-free once the entry capacity and
+  /// the bitmap suffice. Every id must be below `num_ranks`
   /// (precondition), so a corrupt payload cannot grow the bitmap past
   /// the rank space.
   void merge_packed(rt::Unpacker& unpacker, RankId num_ranks);
@@ -132,16 +127,9 @@ public:
   /// knowledge allocates only while growing past its historical maximum.
   void clear();
 
-  /// Bound the knowledge to the `cap` entries with the lowest loads (the
-  /// most attractive transfer targets), breaking load ties by rank id.
-  /// cap == 0 means unlimited (no-op). Deterministic, but note that under
-  /// gossip every rank then retains the *same* globally-lightest targets,
-  /// which herds transfers — prefer truncate_random in protocols.
-  void truncate_to(std::size_t cap);
-
-  /// Bound the knowledge to a uniformly random `cap`-subset. This is the
-  /// footnote-2 bounded-knowledge variant actually used by the gossip
-  /// stage: random subsets keep per-rank target sets de-correlated (the
+  /// Bound the knowledge to a uniformly random `cap`-subset; cap == 0
+  /// means unlimited (no-op). This is the footnote-2 bounded-knowledge
+  /// variant: random subsets keep per-rank target sets de-correlated (the
   /// footnote's random-graph connectivity argument), avoiding the
   /// thundering-herd failure of keeping the lightest entries everywhere.
   void truncate_random(std::size_t cap, Rng& rng);
@@ -155,7 +143,7 @@ public:
     return next_version_ - 1;
   }
 
-  /// True when entries were dropped (by either truncate flavor) since the
+  /// True when truncation dropped entries since the
   /// flag was last consumed; reading clears it. Forwarding events use
   /// this to fall back to a full snapshot after truncation, the recovery
   /// rule that keeps bounded-knowledge (footnote 2) runs re-offering
@@ -166,14 +154,6 @@ public:
     return t;
   }
 
-  /// Number of entries stamped after `since` (what pack_delta would ship).
-  [[nodiscard]] std::size_t delta_count(std::uint32_t since) const;
-
-  /// A knowledge holding copies of the entries stamped after `since`
-  /// (freshly stamped 1..k). The sequential gossip emulation uses this to
-  /// model delta payloads; the runtime protocol packs straight to bytes.
-  [[nodiscard]] Knowledge delta_copy(std::uint32_t since) const;
-
   // --- Wire format ---
 
   /// An upper bound on the bytes any packed payload of up to `n` entries
@@ -181,22 +161,10 @@ public:
   /// and a raw f64 load. Deliberately loose (real gap varints are almost
   /// always one byte) — its job is to let a buffer sized for a knowledge
   /// of capacity `n` hold any payload packed from it, not to model
-  /// traffic; wire_bytes() stays the accountant.
+  /// traffic; the packed size stays the accountant.
   [[nodiscard]] static constexpr std::size_t wire_capacity_bound(
       std::size_t n) {
     return 5 + n * (5 + sizeof(double));
-  }
-
-  /// Exact bytes pack_full() emits (varint count + delta-coded ids + raw
-  /// f64 loads). This is the accounting function for network modeling;
-  /// pack asserts against it.
-  [[nodiscard]] std::size_t wire_bytes() const {
-    return encoded_bytes(0);
-  }
-
-  /// Exact bytes pack_delta(_, since) emits.
-  [[nodiscard]] std::size_t wire_bytes_delta(std::uint32_t since) const {
-    return encoded_bytes(since);
   }
 
   /// Serialize every entry; the distributed gossip ships knowledge
@@ -209,31 +177,14 @@ public:
     pack_since(packer, since);
   }
 
-  /// Deserialize; inverse of pack_full/pack_delta. Received entries are
-  /// stamped 1..n (wire messages carry no versions — stamps are local).
-  [[nodiscard]] static Knowledge unpack(rt::Unpacker& unpacker);
-
-  /// Deserialize into *this*, replacing its contents but reusing its
-  /// capacity: clear(), then merge_packed with ids bounded only by
-  /// RankId's range.
-  void unpack_into(rt::Unpacker& unpacker);
-
 private:
-  /// Test-and-set rank's bit (its word must exist): true when the rank
-  /// was unknown.
-  bool learn(RankId rank) {
-    auto& word = bits_[static_cast<std::size_t>(rank) >> 6];
-    auto const bit = std::uint64_t{1} << (static_cast<unsigned>(rank) & 63);
-    bool const fresh = (word & bit) == 0;
-    word |= bit;
-    return fresh;
-  }
   /// After a merge appended entries from `old_size` on in ascending rank
   /// order: extend the sorted prefix over them when nothing breaks it.
   void extend_sorted(std::size_t old_size);
 
+  /// Two passes over the settled entries: one sizes the payload (count
+  /// and id-block length), one writes id i and load i side by side.
   void pack_since(rt::Packer& packer, std::uint32_t since) const;
-  [[nodiscard]] std::size_t encoded_bytes(std::uint32_t since) const;
 
   /// Grow the bitmap to cover `rank`.
   void cover(RankId rank);
@@ -247,13 +198,10 @@ private:
   }
   /// Clear every bit (the entries are about to be dropped).
   void reset_bits();
-  /// Mark freshly filled, rank-sorted entries (whose bits are clear) as
-  /// known and sorted.
-  void index_sorted();
-  /// Restore sorted order: sort the tail, then move every tail entry,
-  /// and every prefix entry it displaces, to its final slot in one
-  /// in-place permutation pass. O(k log k + moved entries) for a tail of
-  /// k; allocation-free.
+  /// Restore sorted order: move every tail entry, and every prefix entry
+  /// it displaces, to its final slot (its rank's index among the bitmap's
+  /// set bits) in one in-place permutation pass. No sort: O(bitmap words
+  /// + moved entries); allocation-free once the per-word counts fit.
   void settle() const;
 
   /// Entries [0, sorted_) are strictly rank-sorted; [sorted_, size()) is
@@ -263,6 +211,8 @@ private:
   mutable std::size_t sorted_ = 0;
   /// Membership bitmap: bit r set iff rank r is known.
   std::vector<std::uint64_t> bits_;
+  /// settle()'s scratch: per bitmap word, the known ranks below it.
+  mutable std::vector<std::uint32_t> below_;
   /// Next stamp to hand out; 0 is reserved as "before everything".
   std::uint32_t next_version_ = 1;
   /// Set when truncation actually dropped entries; consumed by

@@ -142,7 +142,6 @@ StrategyResult GossipStrategy::balance(rt::Runtime& rt,
   } else if (flavor_ == Flavor::tempered_fast) {
     params.refresh = CmfRefresh::incremental;
   }
-  TLB_EXPECTS(params.rounds >= 1 && params.rounds <= 63);
 
   TLB_SPAN_ARG("lb", "balance", "ranks", p);
   rt::RetryPolicy const& retry = rt.config().retry;

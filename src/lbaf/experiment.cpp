@@ -34,7 +34,6 @@ ExperimentResult run_experiment(lb::LbParams const& params,
                                 obs::LbReportBuilder* report) {
   TLB_EXPECTS(params.num_trials >= 1);
   TLB_EXPECTS(params.num_iterations >= 1);
-  TLB_EXPECTS(params.rounds >= 1 && params.rounds <= 63);
 
   TLB_SPAN_ARG("lbaf", "experiment", "trials", params.num_trials);
   Assignment const initial{workload};

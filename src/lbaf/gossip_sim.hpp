@@ -1,10 +1,14 @@
 #pragma once
 
 /// \file gossip_sim.hpp
-/// Sequential emulation of the inform/gossip stage (Algorithm 1). Messages
-/// are processed from a FIFO queue, which reproduces the unsynchronized,
+/// Sequential emulation of the inform/gossip stage (Algorithm 1): a FIFO
+/// driver over lb::InformCore, the protocol state machine and wire codec
+/// the runtime's InformPlane also drives, so the emulation ships and
+/// decodes the same bytes as the distributed protocol. Messages are
+/// processed from a FIFO queue, which reproduces the unsynchronized,
 /// causally-ordered delivery of the asynchronous implementation without
-/// threads.
+/// threads. One Rng serves the epoch: every rank's peer draw first, in
+/// rank order, then the footnote-2 truncations in delivery order.
 ///
 /// Forwarding is gated per (rank, round): a rank forwards at most once for
 /// each round index it observes. The paper's pseudocode re-forwards on
@@ -59,14 +63,14 @@ struct GossipStats {
 /// \param rounds      k, maximum round index.
 /// \param rng         Peer-selection stream (deterministic).
 /// \param[out] stats  Optional traffic statistics.
-/// \param max_knowledge  Cap on per-rank knowledge entries (lowest-load
-///                    entries kept); 0 = unlimited. Bounds message sizes
+/// \param max_knowledge  Cap on per-rank knowledge entries (a random
+///                    subset kept); 0 = unlimited. Bounds message sizes
 ///                    at O(cap) instead of O(P) (paper footnote 2).
 /// \param wire        Payload encoding per forwarding event: full resend
 ///                    or versioned deltas with full-snapshot recovery
 ///                    (see lb::GossipWire and DESIGN.md "Gossip wire
-///                    plane"). Byte accounting models the true packed
-///                    message: varint round + flag byte + entries.
+///                    plane"). Bytes are the packed message's size:
+///                    varint round + flag byte + entries.
 /// \return Per-rank knowledge (LOAD^p()) after quiescence.
 [[nodiscard]] std::vector<lb::Knowledge>
 run_gossip(std::vector<LoadType> const& rank_loads, LoadType l_ave, int fanout,

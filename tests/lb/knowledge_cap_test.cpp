@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "knowledge_wire.hpp"
 #include "lb/knowledge.hpp"
 #include "support/rng.hpp"
 
@@ -18,47 +19,65 @@ Knowledge make_knowledge(int n) {
 
 TEST(KnowledgeTruncate, ZeroCapIsNoop) {
   auto k = make_knowledge(10);
-  k.truncate_to(0);
-  EXPECT_EQ(k.size(), 10u);
   Rng rng{1};
   k.truncate_random(0, rng);
   EXPECT_EQ(k.size(), 10u);
+  EXPECT_FALSE(k.take_truncated());
 }
 
 TEST(KnowledgeTruncate, CapLargerThanSizeIsNoop) {
   auto k = make_knowledge(5);
-  k.truncate_to(10);
+  Rng rng{1};
+  Rng const untouched = rng;
+  k.truncate_random(10, rng);
   EXPECT_EQ(k.size(), 5u);
+  EXPECT_EQ(rng(), Rng{untouched}()); // no draw spent
 }
 
-TEST(KnowledgeTruncate, KeepsLowestLoads) {
-  auto k = make_knowledge(10);
-  k.truncate_to(3);
-  ASSERT_EQ(k.size(), 3u);
-  // Lightest three are ranks 7, 8, 9 (loads 3, 2, 1).
-  EXPECT_TRUE(k.contains(7));
-  EXPECT_TRUE(k.contains(8));
-  EXPECT_TRUE(k.contains(9));
+TEST(KnowledgeTruncate, SameStreamKeepsTheSameSubset) {
+  // The sequential emulation's tables are seed-deterministic only if a
+  // truncation is a function of the knowledge and the stream.
+  auto a = make_knowledge(40);
+  auto b = make_knowledge(40);
+  Rng ra{3};
+  Rng rb{3};
+  a.truncate_random(9, ra);
+  b.truncate_random(9, rb);
+  ASSERT_EQ(a.size(), 9u);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.entries()[i], b.entries()[i]);
+  }
+  EXPECT_EQ(ra(), rb());
 }
 
 TEST(KnowledgeTruncate, ResultStaysSortedByRank) {
   auto k = make_knowledge(20);
-  k.truncate_to(7);
+  Rng rng{5};
+  k.insert(25, 0.5); // an unsettled tail entry, settled by the truncation
+  k.truncate_random(7, rng);
   auto const e = k.entries();
+  ASSERT_EQ(e.size(), 7u);
   for (std::size_t i = 1; i < e.size(); ++i) {
     EXPECT_LT(e[i - 1].rank, e[i].rank);
   }
 }
 
-TEST(KnowledgeTruncate, LoadTiesBrokenByRank) {
-  Knowledge k;
-  k.insert(5, 1.0);
-  k.insert(3, 1.0);
-  k.insert(8, 1.0);
-  k.truncate_to(2);
-  EXPECT_TRUE(k.contains(3));
-  EXPECT_TRUE(k.contains(5));
-  EXPECT_FALSE(k.contains(8));
+TEST(KnowledgeTruncate, DroppedRanksAreForgottenAndRelearned) {
+  // Truncation clears the dropped ranks' membership bits, so a later
+  // delivery re-learns them as fresh entries with fresh stamps.
+  auto k = make_knowledge(12);
+  Rng rng{9};
+  k.truncate_random(4, rng);
+  auto const mark = k.version_mark();
+  std::size_t dropped = 0;
+  for (RankId r = 0; r < 12; ++r) {
+    dropped += k.contains(r) ? 0u : 1u;
+  }
+  EXPECT_EQ(dropped, 8u);
+  wire::merge(k, make_knowledge(12));
+  EXPECT_EQ(k.size(), 12u);
+  EXPECT_EQ(k.version_mark(), mark + 8);
+  EXPECT_EQ(wire::received(k, mark).size(), 8u);
 }
 
 TEST(KnowledgeTruncateRandom, SubsetOfOriginal) {

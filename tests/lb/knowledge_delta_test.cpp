@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "knowledge_wire.hpp"
 #include "runtime/serialize.hpp"
 #include "support/rng.hpp"
 
@@ -49,18 +50,17 @@ TEST(KnowledgeVersioning, MergeStampsOnlyTheFreshRanks) {
   incoming.insert(1, 9.0); // already known: local value and stamp win
   incoming.insert(2, 3.0);
   incoming.insert(6, 4.0);
-  mine.merge(incoming);
+  wire::merge(mine, incoming);
 
   EXPECT_EQ(mine.version_mark(), mark + 2); // two new ranks stamped
-  EXPECT_EQ(mine.delta_count(mark), 2u);
-  auto const fresh = mine.delta_copy(mark);
+  auto const fresh = wire::received(mine, mark);
   EXPECT_EQ(fresh.size(), 2u);
   EXPECT_TRUE(fresh.contains(2));
   EXPECT_TRUE(fresh.contains(6));
   EXPECT_DOUBLE_EQ(mine.load_of(1), 5.0); // merge kept the local value
 }
 
-TEST(KnowledgeDelta, DeltaCopyShipsExactlyTheEntriesAboveTheMark) {
+TEST(KnowledgeDelta, PackDeltaShipsExactlyTheEntriesAboveTheMark) {
   Knowledge k;
   k.insert(10, 1.0);
   k.insert(20, 2.0);
@@ -68,19 +68,18 @@ TEST(KnowledgeDelta, DeltaCopyShipsExactlyTheEntriesAboveTheMark) {
 
   k.insert(5, 0.5);       // new rank
   k.add_load(20, 0.25);   // changed value
-  EXPECT_EQ(k.delta_count(mark), 2u);
-  auto const delta = k.delta_copy(mark);
+  auto const delta = wire::received(k, mark);
   ASSERT_EQ(delta.size(), 2u);
   EXPECT_TRUE(delta.contains(5));
   EXPECT_TRUE(delta.contains(20));
   EXPECT_DOUBLE_EQ(delta.load_of(20), 2.25);
   EXPECT_FALSE(delta.contains(10)); // untouched entry stays home
-  // Nothing above the current mark: the delta drains to empty.
-  EXPECT_EQ(k.delta_count(k.version_mark()), 0u);
-  EXPECT_TRUE(k.delta_copy(k.version_mark()).empty());
+  // Nothing above the current mark: the delta drains to an empty
+  // payload, a lone zero count.
+  EXPECT_EQ(wire::packed(k, k.version_mark()).size(), 1u);
 }
 
-TEST(KnowledgeDelta, PackDeltaRoundTripsAndMatchesItsSizeFunction) {
+TEST(KnowledgeDelta, PackDeltaRoundTripsAndUndercutsTheFull) {
   Knowledge k;
   Rng rng{11};
   for (RankId r = 0; r < 30; ++r) {
@@ -91,14 +90,14 @@ TEST(KnowledgeDelta, PackDeltaRoundTripsAndMatchesItsSizeFunction) {
     k.insert(r * 7 + 3, rng.uniform(0.0, 2.0));
   }
 
-  rt::Packer p;
-  k.pack_delta(p, mark);
-  EXPECT_EQ(p.size(), k.wire_bytes_delta(mark));
-  EXPECT_LT(p.size(), k.wire_bytes()); // strictly smaller than the full
+  auto const bytes = wire::packed(k, mark);
+  // Ten entries: a count byte, ten one-byte id gaps (the first absolute,
+  // 3; then 6 each), ten loads.
+  EXPECT_EQ(bytes.size(), 1 + 10 + 80u);
+  EXPECT_LT(bytes.size(), wire::packed(k).size()); // smaller than the full
 
-  rt::Unpacker u{p.bytes()};
-  auto const back = Knowledge::unpack(u);
-  EXPECT_TRUE(u.exhausted());
+  Knowledge back;
+  wire::merge_bytes(back, bytes);
   ASSERT_EQ(back.size(), 10u);
   for (RankId r = 0; r < 10; ++r) {
     ASSERT_TRUE(back.contains(r * 7 + 3));
@@ -121,8 +120,6 @@ TEST(KnowledgeDelta, TruncationRaisesTheRecoveryFlagOnce) {
   // forward can stay a delta.
   k.truncate_random(8, rng);
   EXPECT_FALSE(k.take_truncated());
-  k.truncate_to(4);
-  EXPECT_FALSE(k.take_truncated());
 }
 
 TEST(KnowledgeDelta, FullSnapshotRecoversDroppedEntriesAfterTruncation) {
@@ -139,10 +136,7 @@ TEST(KnowledgeDelta, FullSnapshotRecoversDroppedEntriesAfterTruncation) {
   sender.pack_full(first);
 
   Knowledge receiver;
-  {
-    rt::Unpacker u{first.bytes()};
-    receiver.unpack_into(u);
-  }
+  wire::merge_bytes(receiver, first.bytes());
 
   sender.insert(20, 9.0);
   Rng rng{7};
@@ -153,12 +147,7 @@ TEST(KnowledgeDelta, FullSnapshotRecoversDroppedEntriesAfterTruncation) {
   // (now meaningless) delta above the stale high-water mark.
   rt::Packer second;
   sender.pack_full(second);
-  Knowledge update;
-  {
-    rt::Unpacker u{second.bytes()};
-    update.unpack_into(u);
-  }
-  receiver.merge(update);
+  wire::merge_bytes(receiver, second.bytes());
 
   // The receiver holds the union of everything it was ever shipped: the
   // 12 originals from the first snapshot plus whatever survived the
@@ -173,18 +162,19 @@ TEST(KnowledgeDelta, FullSnapshotRecoversDroppedEntriesAfterTruncation) {
   EXPECT_EQ(receiver.size(), sender.contains(20) ? 13u : 12u);
 }
 
-TEST(KnowledgeDelta, UnpackIntoRestampsFromOne) {
+TEST(KnowledgeDelta, ReceiverRestampsFromOne) {
   Knowledge k;
-  k.insert(1, 1.0);
   k.insert(2, 2.0);
-  rt::Packer p;
-  k.pack_full(p);
+  k.insert(1, 1.0);
+  k.add_load(2, 0.5); // sender stamps 1..3, none of which travel
 
   Knowledge inbox;
-  inbox.insert(9, 9.0); // stale contents to be replaced
-  rt::Unpacker u{p.bytes()};
-  inbox.unpack_into(u);
-  EXPECT_EQ(inbox.version_mark(), 2u); // stamped 1..n, counter at n+1
+  inbox.insert(9, 9.0);
+  inbox.clear(); // a cleared receiver restarts its counter
+  wire::merge_bytes(inbox, wire::packed(k));
+  EXPECT_EQ(inbox.version_mark(), 2u); // stamped 1..n in rank order
+  EXPECT_EQ(inbox.entries()[0].version, 1u);
+  EXPECT_EQ(inbox.entries()[1].version, 2u);
   EXPECT_FALSE(inbox.contains(9));
 }
 
@@ -234,7 +224,7 @@ TEST(KnowledgeMergeBetweenForwards, NoFreshEntriesLeavesOrderAndStamps) {
   Knowledge incoming;
   incoming.insert(5, 9.0);
   incoming.insert(1, 9.0);
-  k.merge(incoming);
+  wire::merge(k, incoming);
 
   EXPECT_EQ(k.version_mark(), hwm);
   EXPECT_EQ(forward(k, hwm), wire({})); // an empty delta
@@ -253,11 +243,11 @@ TEST(KnowledgeMergeBetweenForwards, AllFreshEntriesAreStampedInRankOrder) {
   Knowledge first;
   first.insert(9, 0.9);
   first.insert(5, 0.5);
-  k.merge(first);
+  wire::merge(k, first);
   Knowledge second;
   second.insert(7, 0.7);
   second.insert(0, 0.0);
-  k.merge(second);
+  wire::merge(k, second);
 
   EXPECT_EQ(k.version_mark(), hwm + 4);
   EXPECT_EQ(forward(k, hwm),
@@ -279,13 +269,13 @@ TEST(KnowledgeMergeBetweenForwards, AddLoadSettlesTheTailMidSequence) {
   Knowledge first;
   first.insert(6, 0.25);
   first.insert(2, 0.2);
-  k.merge(first); // 2 -> stamp 2, 6 -> stamp 3, both in the tail
+  wire::merge(k, first); // 2 -> stamp 2, 6 -> stamp 3, both in the tail
   k.add_load(6, 0.5); // settles the tail, restamps 6 -> 4
   Knowledge second;
   second.insert(7, 0.7);
   second.insert(3, 0.3);
   second.insert(4, 9.0); // known: local load and stamp win
-  k.merge(second); // 3 -> stamp 5, 7 -> stamp 6, a new tail
+  wire::merge(k, second); // 3 -> stamp 5, 7 -> stamp 6, a new tail
 
   EXPECT_EQ(k.version_mark(), hwm + 5);
   EXPECT_EQ(forward(k, hwm),

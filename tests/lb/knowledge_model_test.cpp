@@ -8,8 +8,9 @@
 /// version mark and pack to the same bytes. The per-step comparison runs
 /// on a copy, so the knowledge under test keeps its unsettled tail across
 /// steps and several merges can pile up before a reader settles them.
-/// Wire merges (Knowledge::merge_packed, decoding and merging in one
-/// pass) are checked against the model's unpack followed by merge.
+/// Knowledge travels only as bytes, so every real merge is a wire merge
+/// (Knowledge::merge_packed, decoding and merging in one pass), checked
+/// against the model's unpack followed by its sorted-walk merge.
 
 #include "lb/knowledge.hpp"
 
@@ -21,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "knowledge_wire.hpp"
 #include "runtime/serialize.hpp"
 #include "support/rng.hpp"
 
@@ -83,26 +85,6 @@ public:
     entries_.clear();
     next_version_ = 1;
     truncated_ = false;
-  }
-
-  void truncate_to(std::size_t cap) {
-    if (cap == 0 || entries_.size() <= cap) {
-      return;
-    }
-    std::vector<KnownRank> by_load = entries_;
-    std::nth_element(by_load.begin(),
-                     by_load.begin() + static_cast<std::ptrdiff_t>(cap),
-                     by_load.end(),
-                     [](KnownRank const& a, KnownRank const& b) {
-                       if (a.load != b.load) {
-                         return a.load < b.load;
-                       }
-                       return a.rank < b.rank;
-                     });
-    by_load.resize(cap);
-    std::sort(by_load.begin(), by_load.end(), by_rank);
-    entries_ = std::move(by_load);
-    truncated_ = true;
   }
 
   void truncate_random(std::size_t cap, Rng& rng) {
@@ -189,11 +171,7 @@ private:
   bool truncated_ = false;
 };
 
-std::vector<std::byte> packed(Knowledge const& k, std::uint32_t since) {
-  rt::Packer p;
-  k.pack_delta(p, since);
-  return std::move(p).take();
-}
+using wire::packed;
 
 std::vector<std::byte> packed(SortedKnowledge const& k,
                               std::uint32_t since) {
@@ -226,7 +204,6 @@ void expect_matches(Knowledge const& real, SortedKnowledge const& model,
   ASSERT_EQ(packed(view, 0), packed(model, 0));
   auto const mid = model.version_mark() / 2;
   ASSERT_EQ(packed(view, mid), packed(model, mid));
-  ASSERT_EQ(view.wire_bytes_delta(mid), packed(model, mid).size());
 }
 
 /// A random payload, inserted in random rank order so the real one
@@ -256,7 +233,7 @@ TEST_P(KnowledgeModel, RandomSequencesMatchTheSortedVectorModel) {
     Rng rng{seed * 7919 + static_cast<std::uint64_t>(rank_space)};
     Knowledge real;
     SortedKnowledge model;
-    Knowledge inbox; // an unpack_into target reused across steps
+    Knowledge inbox; // a receiver cleared and refilled across steps
     SortedKnowledge model_inbox;
     for (int step = 0; step < 120; ++step) {
       SCOPED_TRACE(::testing::Message() << "step " << step);
@@ -272,7 +249,7 @@ TEST_P(KnowledgeModel, RandomSequencesMatchTheSortedVectorModel) {
         Knowledge incoming;
         SortedKnowledge model_incoming;
         fill_random(incoming, model_incoming, rng, rank_space);
-        real.merge(incoming);
+        wire::merge(real, incoming);
         model.merge(model_incoming);
       } else if (op == 11 && known) {
         auto const rank = pick_known(model, rng);
@@ -294,23 +271,24 @@ TEST_P(KnowledgeModel, RandomSequencesMatchTheSortedVectorModel) {
         model.truncate_random(cap, model_rng);
         ASSERT_EQ(real_rng.uniform_below(1u << 30),
                   model_rng.uniform_below(1u << 30));
-      } else if (op == 14) {
-        auto const cap = rng.index(model.entries().size() + 3);
-        real.truncate_to(cap);
-        model.truncate_to(cap);
+      } else if (op == 14 && known) {
+        // An insert that overwrites a known rank settles the tail first.
+        auto const rank = pick_known(model, rng);
+        auto const load = rng.uniform(0.0, 4.0);
+        real.insert(rank, load);
+        model.insert(rank, load);
       } else if (op == 15) {
         ASSERT_EQ(real.take_truncated(), model.take_truncated());
       } else if (op == 16) {
+        // What a fresh receiver makes of a delta: the shipped entries,
+        // restamped 1..n.
         auto const since = static_cast<std::uint32_t>(
             rng.index(static_cast<std::size_t>(model.version_mark()) + 1));
-        ASSERT_EQ(real.delta_count(since),
-                  model.delta_copy(since).entries().size());
-        auto const delta = real.delta_copy(since);
-        auto const model_delta = model.delta_copy(since);
-        expect_matches(delta, model_delta, rank_space + 200);
+        expect_matches(wire::received(real, since), model.delta_copy(since),
+                       rank_space + 200);
       } else if (op == 17) {
-        // A forward and a delivery: pack (full or delta), unpack into the
-        // reused inbox, merge the inbox back in.
+        // A forward and a delivery: pack (full or delta), decode into the
+        // cleared, reused inbox, merge the inbox back in.
         auto const since =
             rng.index(2) == 0
                 ? 0u
@@ -318,13 +296,12 @@ TEST_P(KnowledgeModel, RandomSequencesMatchTheSortedVectorModel) {
                       static_cast<std::size_t>(model.version_mark()) + 1));
         auto const bytes = packed(real, since);
         ASSERT_EQ(bytes, packed(model, since));
-        rt::Unpacker u{bytes};
-        inbox.unpack_into(u);
-        ASSERT_TRUE(u.exhausted());
+        inbox.clear();
+        wire::merge_bytes(inbox, bytes);
         rt::Unpacker mu{bytes};
         model_inbox.unpack_into(mu);
         expect_matches(inbox, model_inbox, rank_space + 200);
-        real.merge(inbox);
+        wire::merge(real, inbox);
         model.merge(model_inbox);
       } else if (op == 18 && rng.index(4) == 0) {
         real.clear();
@@ -352,7 +329,7 @@ TEST_P(KnowledgeModel, RandomSequencesMatchTheSortedVectorModel) {
         model.merge(model_inbox);
       } else if (op == 19) {
         // Merging oneself learns nothing, tail or no tail.
-        real.merge(real);
+        wire::merge(real, real);
         model.merge(SortedKnowledge{model});
       } else {
         // A payload from a peer past the rank space grows the bitmap.
@@ -361,7 +338,7 @@ TEST_P(KnowledgeModel, RandomSequencesMatchTheSortedVectorModel) {
         auto const far = rank_space + static_cast<RankId>(rng.index(200));
         incoming.insert(far, 1.0);
         model_incoming.insert(far, 1.0);
-        real.merge(incoming);
+        wire::merge(real, incoming);
         model.merge(model_incoming);
       }
       expect_matches(real, model, rank_space + 200);

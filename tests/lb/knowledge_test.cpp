@@ -4,7 +4,9 @@
 
 #include <cstdint>
 #include <limits>
+#include <vector>
 
+#include "knowledge_wire.hpp"
 #include "runtime/serialize.hpp"
 
 namespace tlb::lb {
@@ -51,7 +53,7 @@ TEST(Knowledge, MergeKeepsLocalLoadOnConflict) {
   Knowledge incoming;
   incoming.insert(1, 2.0); // stale gossiped value
   incoming.insert(2, 3.0); // new rank
-  mine.merge(incoming);
+  wire::merge(mine, incoming);
   EXPECT_EQ(mine.size(), 2u);
   EXPECT_DOUBLE_EQ(mine.load_of(1), 5.0); // local wins
   EXPECT_DOUBLE_EQ(mine.load_of(2), 3.0);
@@ -64,7 +66,7 @@ TEST(Knowledge, MergeDisjointSets) {
   Knowledge b;
   b.insert(2, 3.0);
   b.insert(6, 4.0);
-  a.merge(b);
+  wire::merge(a, b);
   ASSERT_EQ(a.size(), 4u);
   auto const e = a.entries();
   EXPECT_EQ(e[0].rank, 0);
@@ -77,11 +79,11 @@ TEST(Knowledge, MergeWithEmpty) {
   Knowledge a;
   a.insert(1, 1.0);
   Knowledge const empty;
-  a.merge(empty);
+  wire::merge(a, empty);
   EXPECT_EQ(a.size(), 1u);
 
   Knowledge b;
-  b.merge(a);
+  wire::merge(b, a);
   EXPECT_EQ(b.size(), 1u);
   EXPECT_DOUBLE_EQ(b.load_of(1), 1.0);
 }
@@ -102,19 +104,19 @@ TEST(Knowledge, ClearEmpties) {
   EXPECT_FALSE(k.contains(1));
 }
 
-TEST(Knowledge, WireBytesMatchesTheCompactEncoding) {
+TEST(Knowledge, PackedSizeIsTheCompactEncoding) {
   // varint count + delta-varint rank ids + raw f64 loads — not
   // sizeof(KnownRank), which would bill struct padding to the network.
   Knowledge k;
-  EXPECT_EQ(k.wire_bytes(), 1u); // just the zero count
+  EXPECT_EQ(wire::packed(k).size(), 1u); // just the zero count
   k.insert(1, 1.0);
-  EXPECT_EQ(k.wire_bytes(), 1 + 1 + 8u);
+  EXPECT_EQ(wire::packed(k).size(), 1 + 1 + 8u);
   k.insert(2, 2.0);
   // Adjacent ranks delta-code to gap 0: one varint byte each.
-  EXPECT_EQ(k.wire_bytes(), 1 + 2 + 16u);
+  EXPECT_EQ(wire::packed(k).size(), 1 + 2 + 16u);
   k.insert(100000, 3.0);
   // Gap 99997 needs a 3-byte varint.
-  EXPECT_EQ(k.wire_bytes(), 1 + 2 + 3 + 24u);
+  EXPECT_EQ(wire::packed(k).size(), 1 + 2 + 3 + 24u);
 }
 
 TEST(KnowledgeDeath, LoadOfUnknownRankAborts) {
@@ -160,6 +162,19 @@ TEST(KnowledgeDeath, MergePackedRejectsATruncatedPayload) {
   p.pack_varint(3); // three entries announced, one id and no loads sent
   p.pack_varint(0);
   rt::Unpacker u{p.bytes()};
+  Knowledge k;
+  EXPECT_DEATH(k.merge_packed(u, 16), "precondition");
+}
+
+TEST(KnowledgeDeath, MergePackedRejectsAnOverlongIdVarint) {
+  // Six continuation-chained bytes cannot encode a gap below any rank
+  // count: the decoder stops at five instead of shifting past the gap.
+  std::vector<std::byte> bytes(1 + 6 + sizeof(double), std::byte{0});
+  bytes[0] = std::byte{1}; // one entry
+  for (std::size_t i = 1; i <= 5; ++i) {
+    bytes[i] = std::byte{0x80};
+  }
+  rt::Unpacker u{bytes};
   Knowledge k;
   EXPECT_DEATH(k.merge_packed(u, 16), "precondition");
 }

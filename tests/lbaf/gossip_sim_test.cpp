@@ -137,5 +137,16 @@ TEST(GossipSim, FewRoundsGiveOnlyPartialKnowledge) {
   EXPECT_LT(mean, p / 4.0); // nowhere near full knowledge after 1 round
 }
 
+TEST(GossipSimDeath, InformParametersAreCheckedByTheCore) {
+  std::vector<LoadType> const loads{0.0, 2.0, 0.5, 2.0};
+  Rng rng{1};
+  EXPECT_DEATH((void)run_gossip(loads, 1.125, 0, 3, rng), "fanout >= 1");
+  EXPECT_DEATH((void)run_gossip(loads, 1.125, -1, 3, rng), "fanout >= 1");
+  EXPECT_DEATH((void)run_gossip(loads, 1.125, 2, 0, rng), "rounds >= 1");
+  // 64 rounds would shift the forwarded-rounds bitmask by 64.
+  EXPECT_DEATH((void)run_gossip(loads, 1.125, 2, 64, rng), "rounds <= 63");
+  (void)run_gossip(loads, 1.125, 2, 63, rng); // the widest legal k
+}
+
 } // namespace
 } // namespace tlb::lbaf

@@ -191,10 +191,11 @@ TEST(SerializeKnowledge, RoundTripPreservesEntries) {
   }
   Packer p;
   k.pack_full(p);
-  // Byte accounting and serializer share one size function: exact match.
-  EXPECT_EQ(p.size(), k.wire_bytes());
+  // A count byte, 40 one-byte id gaps (0, then 2 each), 40 raw loads.
+  EXPECT_EQ(p.size(), 1 + 40 + 40 * 8u);
   Unpacker u{p.bytes()};
-  auto const back = lb::Knowledge::unpack(u);
+  lb::Knowledge back;
+  back.merge_packed(u, 120);
   EXPECT_TRUE(u.exhausted());
   ASSERT_EQ(back.size(), k.size());
   for (auto const& e : k.entries()) {
@@ -212,19 +213,24 @@ TEST(SerializeKnowledge, CompactEncodingBeatsTheOldStructCopy) {
     k.insert(r, 1.0);
   }
   std::size_t const old_format = 256 * sizeof(lb::KnownRank) + 8;
-  EXPECT_LT(k.wire_bytes(), old_format * 3 / 5);
+  Packer p;
+  k.pack_full(p);
+  EXPECT_LT(p.size(), old_format * 3 / 5);
 }
 
 TEST(SerializeKnowledge, EmptyKnowledge) {
   lb::Knowledge const k;
   Packer p;
   k.pack_full(p);
-  EXPECT_EQ(p.size(), k.wire_bytes());
+  EXPECT_EQ(p.size(), 1u); // a lone zero count
   Unpacker u{p.bytes()};
-  EXPECT_TRUE(lb::Knowledge::unpack(u).empty());
+  lb::Knowledge back;
+  back.merge_packed(u, 1);
+  EXPECT_TRUE(u.exhausted());
+  EXPECT_TRUE(back.empty());
 }
 
-TEST(SerializeKnowledge, UnpackIntoReplacesContentsWithoutReallocating) {
+TEST(SerializeKnowledge, ClearedReceiverRefillsWithoutReallocating) {
   lb::Knowledge big;
   for (RankId r = 0; r < 100; ++r) {
     big.insert(r, 0.5);
@@ -239,10 +245,13 @@ TEST(SerializeKnowledge, UnpackIntoReplacesContentsWithoutReallocating) {
     }
     return k;
   }();
+  auto const* const storage = inbox.entries().data();
+  inbox.clear();
   Unpacker u{p.bytes()};
-  inbox.unpack_into(u);
+  inbox.merge_packed(u, 200);
   EXPECT_TRUE(u.exhausted());
   ASSERT_EQ(inbox.size(), 100u);
+  EXPECT_EQ(inbox.entries().data(), storage); // capacity reused
   for (RankId r = 0; r < 100; ++r) {
     EXPECT_DOUBLE_EQ(inbox.load_of(r), 0.5);
   }

@@ -96,6 +96,24 @@ TEST(TemperedLB, NeverWorseThanInitial) {
   check_migrations_consistent(input, result);
 }
 
+TEST(TemperedLBDeath, InformParametersAreCheckedByTheCore) {
+  // fanout 0 once ran an inform stage that informed nobody, and a
+  // negative fanout threw std::length_error from a reserve.
+  auto const input = clustered_input(16, 2, 10);
+  for (int const fanout : {0, -1}) {
+    rt::Runtime rt{config(16)};
+    GossipStrategy strategy{GossipStrategy::Flavor::tempered};
+    auto params = LbParams::tempered();
+    params.fanout = fanout;
+    EXPECT_DEATH((void)strategy.balance(rt, input, params), "fanout >= 1");
+  }
+  rt::Runtime rt{config(16)};
+  GossipStrategy strategy{GossipStrategy::Flavor::tempered};
+  auto params = LbParams::tempered();
+  params.rounds = 64;
+  EXPECT_DEATH((void)strategy.balance(rt, input, params), "rounds <= 63");
+}
+
 TEST(TemperedLB, EmptySystemNoMigrations) {
   rt::Runtime rt{config(8)};
   GossipStrategy strategy{GossipStrategy::Flavor::tempered};
